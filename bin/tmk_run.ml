@@ -22,9 +22,9 @@ let app_uri app =
     (String.lowercase_ascii (Tmk_harness.Harness.app_name app))
 
 let run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold ~eager_diffs
-    ~updates ~batching ~sharding ~barrier_tree ~tree_arity ~faults ~diff_backup
-    ~racecheck ~check_invariants ~lint ~lint_sarif ~lint_jsonl ~trace_file ~trace_format
-    ~trace_report ~breakdown =
+    ~updates ~batching ~sharding ~tree_arity ~faults ~diff_backup ~racecheck
+    ~check_invariants ~lint ~lint_sarif ~lint_jsonl ~trace_file ~trace_format ~trace_report
+    ~breakdown =
   let override cfg =
     {
       cfg with
@@ -35,8 +35,7 @@ let run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold ~eager
       lrc_updates = updates;
       batching;
       sharding;
-      barrier_tree;
-      tree_arity;
+      tree_arity = Option.value tree_arity ~default:cfg.Tmk_dsm.Config.tree_arity;
       diff_backup;
     }
   in
@@ -84,14 +83,17 @@ let run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold ~eager
     m.Tmk_harness.Harness.m_net
     (Tmk_dsm.Config.protocol_description protocol)
     (if batching then "on" else "off");
-  if sharding || barrier_tree then
+  (* An arity of at least nprocs - 1 is the one-level tree, the default
+     centralized barrier. *)
+  let deep_tree = match tree_arity with Some k when k < nprocs - 1 -> Some k | _ -> None in
+  if sharding || deep_tree <> None then
     pf "metadata    : %s@."
       (String.concat ", "
          ((if sharding then [ "ring-sharded page/lock ownership" ] else [])
          @
-         if barrier_tree then
-           [ Printf.sprintf "combining-tree barriers (arity %d)" tree_arity ]
-         else []));
+         match deep_tree with
+         | Some k -> [ Printf.sprintf "combining-tree barriers (arity %d)" k ]
+         | None -> []));
   pf "faults      : %s@." (Tmk_net.Fault_plan.describe faults);
   pf "time        : %.3f simulated seconds@." m.Tmk_harness.Harness.m_time_s;
   let raw = m.Tmk_harness.Harness.m_raw in
@@ -315,18 +317,16 @@ let cmd =
                    $(i,id mod nprocs) placement; ownership lookups walk past dead \
                    processors, so a crash moves only the dead owner's shards.")
   in
-  let barrier_tree =
-    Arg.(value & flag
-         & info [ "barrier-tree" ]
-             ~doc:"Combine barrier arrivals up an arity-$(b,--tree-arity) reduction tree \
-                   and fan releases back down it, instead of every processor messaging \
-                   the central manager; caps any single processor's barrier traffic at \
-                   the tree arity.  Incompatible with $(b,--crash).")
-  in
   let tree_arity =
-    Arg.(value & opt int 4
+    Arg.(value & opt (some int) None
          & info [ "tree-arity" ] ~docv:"K"
-             ~doc:"Fan-in of the combining tree used by $(b,--barrier-tree) (at least 2).")
+             ~doc:"Fan-in of the combining tree that barriers and the GC exchange run \
+                   over (at least 2).  By default every processor reports straight to \
+                   the barrier manager (a one-level tree, the paper's centralized \
+                   barrier); a K below $(b,--nprocs) minus one combines arrivals up an \
+                   arity-K tree and fans releases back down it, capping any single \
+                   processor's barrier traffic at K.  A deeper tree is incompatible \
+                   with $(b,--crash).")
   in
   let loss =
     Arg.(value & opt float 0.0
@@ -448,9 +448,9 @@ let cmd =
                    (makespan minus the busy categories) reported explicitly.")
   in
   let main app app_pos nprocs protocol net show_speedup list verbose seed gc_threshold
-      eager_diffs updates no_batching sharding barrier_tree tree_arity loss dup reorder
-      reorder_window stall unreachable crash diff_backup racecheck check_invariants lint
-      lint_sarif lint_jsonl check_trace trace_file trace_format trace_report breakdown =
+      eager_diffs updates no_batching sharding tree_arity loss dup reorder reorder_window stall
+      unreachable crash diff_backup racecheck check_invariants lint lint_sarif lint_jsonl
+      check_trace trace_file trace_format trace_report breakdown =
     let app = match app_pos with Some a -> a | None -> app in
     (* Asking for a findings file implies running the suite. *)
     let lint =
@@ -526,9 +526,9 @@ let cmd =
           let lint = Option.map Tmk_lint.Lint.analyzers_of_string lint in
           let findings, stopped =
             run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold
-              ~eager_diffs ~updates ~batching:(not no_batching) ~sharding ~barrier_tree
-              ~tree_arity ~faults ~diff_backup ~racecheck ~check_invariants ~lint
-              ~lint_sarif ~lint_jsonl ~trace_file ~trace_format ~trace_report ~breakdown
+              ~eager_diffs ~updates ~batching:(not no_batching) ~sharding ~tree_arity ~faults
+              ~diff_backup ~racecheck ~check_invariants ~lint ~lint_sarif ~lint_jsonl
+              ~trace_file ~trace_format ~trace_report ~breakdown
           in
           if findings then exit 2;
           (* the run was cut short with a diagnosis (e.g. an unreachable
@@ -552,11 +552,10 @@ let cmd =
   let term =
     Term.(
       const main $ app_arg $ app_pos $ procs $ protocol $ net $ speedup $ list $ verbose
-      $ seed $ gc_threshold $ eager_diffs $ updates $ no_batching $ sharding
-      $ barrier_tree $ tree_arity $ loss $ dup $ reorder $ reorder_window $ stall
-      $ unreachable $ crash $ diff_backup $ racecheck $ check_invariants $ lint
-      $ lint_sarif $ lint_jsonl $ check_trace $ trace_file $ trace_format $ trace_report
-      $ breakdown)
+      $ seed $ gc_threshold $ eager_diffs $ updates $ no_batching $ sharding $ tree_arity
+      $ loss $ dup $ reorder $ reorder_window $ stall $ unreachable $ crash $ diff_backup
+      $ racecheck $ check_invariants $ lint $ lint_sarif $ lint_jsonl $ check_trace
+      $ trace_file $ trace_format $ trace_report $ breakdown)
   in
   Cmd.v
     (Cmd.info "tmk_run" ~version:"1.0.0"

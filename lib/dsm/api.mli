@@ -43,9 +43,10 @@ type run_result = {
   messages : int;  (** frames handed to the medium *)
   proc_msgs : int array;
       (** frames {e delivered at} each processor — the receive-side load;
-          [proc_msgs.(0)] is the hot-spot metric for centralized
-          barriers (the flat manager absorbs [nprocs - 1] arrivals per
-          barrier, a combining tree at most [Config.tree_arity]) *)
+          [proc_msgs.(0)] is the hot-spot metric for the barrier tree's
+          root (the default one-level tree's manager absorbs
+          [nprocs - 1] arrivals per barrier, a deeper tree's root at
+          most [Config.tree_arity]) *)
   bytes : int;  (** on-wire bytes including headers *)
   retransmissions : int;
   frames_coalesced : int;

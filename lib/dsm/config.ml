@@ -15,7 +15,6 @@ type t = {
   diff_backup : bool;
   vm_fast_path : bool;
   sharding : bool;
-  barrier_tree : bool;
   tree_arity : int;
   trace : Tmk_trace.Sink.t option;
   check : Tmk_check.Checker.t option;
@@ -37,8 +36,7 @@ let default =
     diff_backup = false;
     vm_fast_path = true;
     sharding = false;
-    barrier_tree = false;
-    tree_arity = 4;
+    tree_arity = max_int;
     trace = None;
     check = None;
   }
@@ -49,8 +47,12 @@ let validate t =
   if t.gc_threshold < 1 then invalid_arg "Config: gc_threshold must be >= 1";
   if t.flop_ns < 0 then invalid_arg "Config: flop_ns must be >= 0";
   if t.tree_arity < 2 then invalid_arg "Config: tree_arity must be >= 2";
-  if t.barrier_tree && Tmk_net.Fault_plan.crashes t.faults <> [] then
-    invalid_arg "Config: barrier_tree does not support crash schedules";
+  if t.tree_arity < t.nprocs - 1 && Tmk_net.Fault_plan.crashes t.faults <> [] then
+    invalid_arg
+      (Printf.sprintf
+         "Config: crash schedules need the one-level barrier tree (tree_arity >= nprocs - 1 \
+          = %d, got %d)"
+         (t.nprocs - 1) t.tree_arity);
   Tmk_net.Fault_plan.validate t.faults;
   List.iter
     (fun p ->

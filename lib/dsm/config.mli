@@ -80,13 +80,16 @@ type t = {
           per-shard owners.  Results are digest-identical to flat runs;
           only which processor plays manager for each object changes.
           [false] (the default): the flat TreadMarks layout *)
-  barrier_tree : bool;
-      (** [true]: barriers run as an arity-[tree_arity] combining tree
-          over live pids — arrivals combine upward, releases flow
-          downward — instead of every processor talking to the single
-          central manager.  Incompatible with crash schedules.  [false]
-          (the default): the flat centralized barrier of §3.5 *)
-  tree_arity : int;  (** fan-in of each tree-barrier node (>= 2) *)
+  tree_arity : int;
+      (** fan-in of the combining tree that barriers and the GC exchange
+          run over (>= 2); the effective fan-in is
+          [min tree_arity (nprocs - 1)].  The default, [max_int], is the
+          one-level tree: every processor reports straight to the barrier
+          manager, the paper's centralized barrier (§3.4).  A smaller
+          arity builds a deeper tree in which arrivals combine upward,
+          releases flow downward and no processor handles more than
+          [tree_arity] messages per barrier.  Crash schedules need the
+          one-level tree *)
   trace : Tmk_trace.Sink.t option;
       (** typed protocol-event sink; [None] (the default) disables
           tracing entirely — no events are recorded and no run behaviour
@@ -107,9 +110,11 @@ type t = {
     scalar FPU). *)
 val default : t
 
-(** [validate t] checks invariants.  Capability-dependent admissibility
-    (crash schedules, [diff_backup]) is checked by [Protocol.create]
-    against the selected backend's {!Backend.caps}.
+(** [validate t] checks invariants, among them that a crash schedule
+    comes with the one-level barrier tree ([tree_arity >= nprocs - 1]).
+    Capability-dependent admissibility (crash schedules, [diff_backup])
+    is checked by [Protocol.create] against the selected backend's
+    {!Backend.caps}.
     @raise Invalid_argument when a field is out of range. *)
 val validate : t -> unit
 

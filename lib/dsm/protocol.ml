@@ -1,9 +1,10 @@
 (* The backend-agnostic protocol core: locks (distributed queue with
-   static managers and forwarding, §3.3), centralized barriers (§3.4),
-   garbage collection orchestration (§3.6), and crash detection /
-   metadata failover.  Everything coherence-specific — fault handling,
-   what synchronization messages carry and what absorbing them does —
-   lives behind the {!Backend} hook table selected from
+   static managers and forwarding, §3.3), barriers (§3.4) and the garbage
+   collection exchange (§3.6) over one combining tree whose default
+   one-level shape is the paper's centralized manager, and crash
+   detection / metadata failover.  Everything coherence-specific — fault
+   handling, what synchronization messages carry and what absorbing them
+   does — lives behind the {!Backend} hook table selected from
    [Config.protocol]. *)
 
 open Tmk_sim
@@ -45,49 +46,33 @@ type mgr_state = { mutable last_requester : int }
 
 type barrier_client = {
   bc_pid : int;
+  bc_gc : bool;  (* GC requested somewhere in the child's subtree *)
   bc_release : charge:Node.charge -> Backend.payload;
   bc_mb : barrier_release Transport.mailbox;
 }
 
-type barrier_state = {
-  mutable bs_clients : barrier_client Tmk_util.Vec.t;
-  mutable bs_manager_here : bool;
-  mutable bs_all_in : unit Engine.Ivar.t;
-  mutable bs_gc : bool;
-}
-
-type gc_client = { gc_pid : int; gc_keep : Bitset.t; gc_mb : Bitset.t array Transport.mailbox }
-
-type gc_state = {
-  mutable gs_clients : gc_client Tmk_util.Vec.t;
-  mutable gs_manager_here : bool;
-  mutable gs_all_in : unit Engine.Ivar.t;
-}
-
-(* One direct child's GC message in tree mode: the flattened (pid, keep
-   bitmap) contributions of its whole subtree, plus the mailbox its
-   keepers reply goes down through. *)
+(* One direct child's GC message: the flattened (pid, keep bitmap)
+   contributions of its whole subtree, plus the mailbox its keepers reply
+   goes down through. *)
 type gc_tree_client = {
   gt_pid : int;
   gt_contribs : (int * Bitset.t) list;
   gt_mb : Bitset.t array Transport.mailbox;
 }
 
-type gc_tree_state = {
-  gt_children : gc_tree_client Tmk_util.Vec.t;
-  gt_all_in : unit Engine.Ivar.t;
-}
+(* A combining node's state for one barrier occurrence or GC round: its
+   direct children's messages in arrival order, and the ivar filled once
+   every live child is in. *)
+type 'c combining = { arrived : 'c Vec.t; all_in : unit Engine.Ivar.t }
 
 type t = {
   cl : Cluster.t;
   backend : Backend.t;
   lock_states : (int, lock_state) Hashtbl.t array;  (* per node *)
   lock_mgrs : (int, mgr_state) Hashtbl.t array;  (* per node, manager role *)
-  barrier_states : (int, barrier_state) Hashtbl.t;  (* at the central manager *)
-  tree_states : (int * int, barrier_state) Hashtbl.t;
-      (* (node pid, barrier id) -> combining state, [Config.barrier_tree] *)
-  gc_tree : (int, gc_tree_state) Hashtbl.t;  (* node pid -> tree-GC state *)
-  mutable gc : gc_state;
+  tree_states : (int, barrier_client combining) Hashtbl.t array;
+      (* per node: barrier id -> combining state *)
+  gc_tree : (int, gc_tree_client combining) Hashtbl.t;  (* node pid -> GC state *)
   waiting_acquires : (int, lock_request) Hashtbl.t array;
       (* per pid: lock -> the outstanding remote acquire, if any *)
   grant_target : (int, lock_request) Hashtbl.t;
@@ -116,7 +101,6 @@ let live t pid = Cluster.live t.cl pid
 let epoch t = t.cl.Cluster.epoch
 let fatality t = t.cl.Cluster.fatal
 let recoveries t = List.rev t.recoveries
-let live_count t = Cluster.live_count t.cl
 let dead t pid = t.cl.Cluster.dead.(pid)
 
 (* Lock managership migrates deterministically to the next live
@@ -204,34 +188,6 @@ let mgr_state_of t pid lock =
     let st = { last_requester = pid } in
     Hashtbl.add t.lock_mgrs.(pid) lock st;
     st
-
-let fresh_barrier_state () =
-  {
-    bs_clients = Vec.create ();
-    bs_manager_here = false;
-    bs_all_in = Engine.Ivar.create ();
-    bs_gc = false;
-  }
-
-let barrier_state_of t id =
-  match Hashtbl.find_opt t.barrier_states id with
-  | Some bs -> bs
-  | None ->
-    let bs = fresh_barrier_state () in
-    Hashtbl.add t.barrier_states id bs;
-    bs
-
-(* Per-(node, id) combining state for tree barriers.  Completion is
-   static — every direct child must arrive — so [bs_manager_here] is
-   unused here, and the whole entry is dropped (not reset in place) once
-   its occurrence completes. *)
-let tree_state_of t ~pid ~id =
-  match Hashtbl.find_opt t.tree_states (pid, id) with
-  | Some bs -> bs
-  | None ->
-    let bs = fresh_barrier_state () in
-    Hashtbl.add t.tree_states (pid, id) bs;
-    bs
 
 (* ------------------------------------------------------------------ *)
 (* Locks (§3.3)                                                        *)
@@ -429,107 +385,96 @@ let release t ~pid ~lock =
     Queue.clear st.pending
 
 (* ------------------------------------------------------------------ *)
+(* The combining tree (§3.4, §3.6)
+
+   Barriers and the GC exchange share one tree: processor [pid]'s
+   children are [k*pid+1 .. k*pid+k] clipped to the cluster, its parent
+   [(pid-1)/k], the root the barrier manager.  The fan-in [k] is
+   [Config.tree_arity] clamped to [nprocs - 1], so the default arity is
+   the one-level tree — every processor a direct child of the manager,
+   the paper's centralized barrier — and a smaller arity builds a deeper
+   tree in which no processor handles more than [k] messages per
+   barrier.  (The clamp comes first: [k*pid] overflows for a [max_int]
+   arity.) *)
+
+let tree_fanin t = min (config t).Config.tree_arity ((config t).Config.nprocs - 1)
+let tree_parent t pid = (pid - 1) / tree_fanin t
+let first_child t pid = (tree_fanin t * pid) + 1
+
+let child_count t pid =
+  max 0 (min (tree_fanin t) ((config t).Config.nprocs - first_child t pid))
+
+(* A node is complete once its live direct children have all arrived.  A
+   child that arrived and then died stays in [arrived] (its contribution
+   is already absorbed) but no longer counts.  Only a one-level tree
+   admits crash schedules ([Config.validate]), so the dead recount runs
+   only under a planned crash, and then only at the root. *)
+let children_in t ~pid c ~client_pid =
+  let n = child_count t pid in
+  if not t.cl.Cluster.crashes_planned then Vec.length c.arrived >= n
+  else begin
+    let first = first_child t pid in
+    let live_children = ref 0 in
+    for child = first to first + n - 1 do
+      if not (dead t child) then incr live_children
+    done;
+    Vec.fold_left (fun acc m -> if dead t (client_pid m) then acc else acc + 1) 0 c.arrived
+    >= !live_children
+  end
+
+let fill_if_complete t ~pid c ~client_pid ~at =
+  if children_in t ~pid c ~client_pid && not (Engine.Ivar.is_filled c.all_in) then
+    Engine.fill (engine t) c.all_in ~at ()
+
+let combining_of tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+    let c = { arrived = Vec.create (); all_in = Engine.Ivar.create () } in
+    Hashtbl.add tbl key c;
+    c
+
+(* At node [pid]: wait for every live direct child's message, then drop
+   the state — before anything goes back down, since a child cannot send
+   its next message until it hears from this node.  Leaves keep no
+   state. *)
+let await_children t tbl key ~pid ~client_pid =
+  if child_count t pid = 0 then []
+  else begin
+    let c = combining_of tbl key in
+    if not (children_in t ~pid c ~client_pid) then Engine.await c.all_in;
+    Hashtbl.remove tbl key;
+    Vec.to_list c.arrived
+  end
+
+(* A child's message landing at [parent], in the receive handler [h]. *)
+let note_child t tbl key ~parent ~client_pid msg h =
+  let c = combining_of tbl key in
+  Vec.push c.arrived msg;
+  fill_if_complete t ~pid:parent c ~client_pid ~at:(Engine.hnow h)
+
+let barrier_client_pid c = c.bc_pid
+let gc_client_pid c = c.gt_pid
+
+(* ------------------------------------------------------------------ *)
 (* Garbage collection (§3.6)                                           *)
 
-let fresh_gc_state () =
-  { gs_clients = Vec.create (); gs_manager_here = false; gs_all_in = Engine.Ivar.create () }
-
-let gc_maybe_complete t =
-  let gs = t.gc in
-  let live_clients =
-    (* No crash schedule ⇒ nothing in the vector is dead; skip the scan. *)
-    if t.cl.Cluster.crashes_planned then
-      Vec.fold_left (fun acc c -> if dead t c.gc_pid then acc else acc + 1) 0 gs.gs_clients
-    else Vec.length gs.gs_clients
-  in
-  if
-    gs.gs_manager_here
-    && live_clients >= live_count t - 1
-    && not (Engine.Ivar.is_filled gs.gs_all_in)
-  then Engine.fill (engine t) gs.gs_all_in ~at:(Engine.now (engine t)) ()
-
-(* The flat exchange: every processor sends its keep-bitmap straight to
-   the barrier manager and awaits the aggregated keepers array. *)
-let gc_exchange_flat t pid ~npages ~keep =
-  if pid = barrier_manager then begin
-    t.gc.gs_manager_here <- true;
-    gc_maybe_complete t;
-    Engine.await t.gc.gs_all_in;
-    let clients = Vec.to_list t.gc.gs_clients in
-    t.gc <- fresh_gc_state ();
-    (* Aggregate: keepers per page, one bitset of processors per page. *)
-    let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
-    let note_keeps who bitmap =
-      Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap
-    in
-    note_keeps pid keep;
-    List.iter (fun c -> if not (dead t c.gc_pid) then note_keeps c.gc_pid c.gc_keep) clients;
-    let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
-    List.iter
-      (fun c ->
-        if not (dead t c.gc_pid) then
-          Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gc_pid
-            ~bytes:reply_bytes c.gc_mb keepers)
-      clients;
-    keepers
-  end
-  else begin
-    let mb = Transport.mailbox () in
-    Transport.send ~label:"gc-bitmap" (transport t) ~src:pid ~dst:barrier_manager
-      ~bytes:(Wire.gc_keep_bitmap_bytes ~npages)
-      ~deliver:(fun _h ->
-        Vec.push t.gc.gs_clients { gc_pid = pid; gc_keep = keep; gc_mb = mb };
-        gc_maybe_complete t);
-    Transport.await_value (transport t) mb
-  end
-
-let gc_tree_state_of t pid =
-  match Hashtbl.find_opt t.gc_tree pid with
-  | Some gs -> gs
-  | None ->
-    let gs = { gt_children = Vec.create (); gt_all_in = Engine.Ivar.create () } in
-    Hashtbl.add t.gc_tree pid gs;
-    gs
-
-let tree_arity t = (config t).Config.tree_arity
-let tree_parent t pid = (pid - 1) / tree_arity t
-
-let tree_children t pid =
-  let k = tree_arity t in
-  let n = (config t).Config.nprocs in
-  let first = (k * pid) + 1 in
-  if first >= n then [] else List.init (min k (n - first)) (fun i -> first + i)
-
-(* The tree exchange ([Config.barrier_tree], crash-free by Config
-   validation): each node waits for its direct children's messages —
-   carrying the flattened (pid, keep-bitmap) contributions of their
-   whole subtrees — prepends its own, and forwards upward.  The root
-   aggregates and the keepers array flows back down edge by edge, so no
-   processor ever receives more than [tree_arity] GC messages. *)
-let gc_exchange_tree t pid ~npages ~keep =
-  let nchildren = List.length (tree_children t pid) in
-  let gs = gc_tree_state_of t pid in
-  if Vec.length gs.gt_children < nchildren then Engine.await gs.gt_all_in;
-  let child_entries = Vec.to_list gs.gt_children in
-  (* Drop the entry before any reply goes out: a child cannot start its
-     next GC until it gets this round's keepers through us. *)
-  Hashtbl.remove t.gc_tree pid;
-  let contribs = (pid, keep) :: List.concat_map (fun c -> c.gt_contribs) child_entries in
-  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
-  let reply_down keepers =
-    List.iter
-      (fun c ->
-        Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gt_pid
-          ~bytes:reply_bytes c.gt_mb keepers)
-      child_entries
-  in
+(* The keep-bitmap exchange: each node waits for its direct children's
+   messages, prepends its own bitmap to their flattened contributions
+   and forwards the lot upward; the root aggregates one keeper set per
+   page.  Returns the keepers and the children they must go on down to
+   ([gc_reply]).  A dead child's bitmap is left out. *)
+let gc_exchange t pid ~npages ~keep =
+  let children = await_children t t.gc_tree pid ~pid ~client_pid:gc_client_pid in
+  let contribs = (pid, keep) :: List.concat_map (fun c -> c.gt_contribs) children in
   if pid = barrier_manager then begin
     let keepers = Array.init npages (fun _ -> Bitset.create (config t).Config.nprocs) in
     List.iter
-      (fun (who, bitmap) -> Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
+      (fun (who, bitmap) ->
+        if not (dead t who) then
+          Bitset.iter (fun page -> Bitset.add keepers.(page) who) bitmap)
       contribs;
-    reply_down keepers;
-    keepers
+    (keepers, children)
   end
   else begin
     let parent = tree_parent t pid in
@@ -537,17 +482,21 @@ let gc_exchange_tree t pid ~npages ~keep =
     let count = List.length contribs in
     Transport.send ~label:"gc-bitmap" ~parts:count (transport t) ~src:pid ~dst:parent
       ~bytes:(count * Wire.gc_keep_bitmap_bytes ~npages)
-      ~deliver:(fun h ->
-        let pgs = gc_tree_state_of t parent in
-        Vec.push pgs.gt_children { gt_pid = pid; gt_contribs = contribs; gt_mb = mb };
-        if
-          Vec.length pgs.gt_children >= List.length (tree_children t parent)
-          && not (Engine.Ivar.is_filled pgs.gt_all_in)
-        then Engine.fill (engine t) pgs.gt_all_in ~at:(Engine.hnow h) ());
-    let keepers = Transport.await_value (transport t) mb in
-    reply_down keepers;
-    keepers
+      ~deliver:
+        (note_child t t.gc_tree parent ~parent ~client_pid:gc_client_pid
+           { gt_pid = pid; gt_contribs = contribs; gt_mb = mb });
+    (Transport.await_value (transport t) mb, children)
   end
+
+(* Live children get the keepers; dead ones get nothing. *)
+let gc_reply t pid ~npages children keepers =
+  let reply_bytes = (config t).Config.nprocs * Wire.gc_keep_bitmap_bytes ~npages in
+  List.iter
+    (fun c ->
+      if not (dead t c.gt_pid) then
+        Transport.send_value ~label:"gc-copysets" (transport t) ~src:pid ~dst:c.gt_pid
+          ~bytes:reply_bytes c.gt_mb keepers)
+    children
 
 let gc_phase t pid =
   let node = t.cl.Cluster.nodes.(pid) in
@@ -565,40 +514,28 @@ let gc_phase t pid =
   for page = 0 to npages - 1 do
     if Vm.prot node.Node.vm page <> Vm.No_access then Bitset.add keep page
   done;
-  let keepers =
-    if (config t).Config.barrier_tree then gc_exchange_tree t pid ~npages ~keep
-    else gc_exchange_flat t pid ~npages ~keep
-  in
-  (* 3. Adopt the new copysets and discard every consistency record. *)
+  let keepers, children = gc_exchange t pid ~npages ~keep in
+  (* 3. Adopt the new copysets and discard every consistency record, all
+     before the keepers go on down: a child holding them can finish its
+     GC and arrive at the next barrier here, and the records that arrival
+     brings must survive the sweep.  The sweep's CPU is charged once the
+     replies are out. *)
   Array.iteri
     (fun page entry ->
       entry.Node.pg_copyset <- Bitset.copy keepers.(page);
       if not (Bitset.mem keepers.(page) pid) then entry.Node.pg_has_copy <- false)
     node.Node.pages;
-  let discarded = Node.discard_all_records node ~charge:app_charge in
+  let sweep = Vec.create () in
+  let discarded =
+    Node.discard_all_records node ~charge:(fun cat dt -> Vec.push sweep (cat, dt))
+  in
+  gc_reply t pid ~npages children keepers;
+  Vec.iter (fun (cat, dt) -> app_charge cat dt) sweep;
   if Engine.tracing (engine t) then
     emit t ~pid (Tmk_trace.Event.Gc_end { discarded })
 
 (* ------------------------------------------------------------------ *)
 (* Barriers (§3.4)                                                     *)
-
-(* Completion counts live clients against the live membership: a dead
-   processor never arrives, and a client that arrived and then died is
-   kept (its payload is already incorporated) but not counted or
-   released. *)
-let barrier_maybe_complete t bs ~at =
-  let live_clients =
-    (* No crash schedule ⇒ no dead entries; the recount only runs when a
-       fault plan is armed (it is O(clients) and barriers are hot). *)
-    if t.cl.Cluster.crashes_planned then
-      Vec.fold_left (fun acc bc -> if dead t bc.bc_pid then acc else acc + 1) 0 bs.bs_clients
-    else Vec.length bs.bs_clients
-  in
-  if
-    bs.bs_manager_here
-    && live_clients >= live_count t - 1
-    && not (Engine.Ivar.is_filled bs.bs_all_in)
-  then Engine.fill (engine t) bs.bs_all_in ~at ()
 
 (* The backend builds each client's release payload in an atomic
    section: payload selection (interval deltas, timestamp snapshots,
@@ -607,75 +544,29 @@ let barrier_maybe_complete t bs ~at =
    interleaving there (e.g. a fast client's arrival at the NEXT barrier)
    would advance the releaser's state past what this release claims to
    carry. *)
-let barrier_release_clients t ~pid ~run_gc clients =
-  let release_one bc =
-    let payload = atomically (fun charge -> bc.bc_release ~charge) in
-    app_charge Category.Tmk_other Cpu.barrier_release_per_client;
-    Transport.send_value ~label:"barrier-release" ~parts:payload.Backend.p_parts
-      (transport t) ~src:pid ~dst:bc.bc_pid ~bytes:payload.Backend.p_bytes bc.bc_mb
-      { br_payload = payload; br_gc = run_gc }
-  in
-  (* Release in client order for determinism; dead clients get none. *)
-  List.iter release_one
-    (List.sort
-       (fun a b -> compare a.bc_pid b.bc_pid)
-       (List.filter (fun bc -> not (dead t bc.bc_pid)) clients))
+let barrier_release_clients t ~pid ~run_gc = function
+  | [] -> ()
+  | clients ->
+    (* Release in client order for determinism; dead clients get none. *)
+    List.iter
+      (fun bc ->
+        if not (dead t bc.bc_pid) then begin
+          let payload = atomically (fun charge -> bc.bc_release ~charge) in
+          app_charge Category.Tmk_other Cpu.barrier_release_per_client;
+          Transport.send_value ~label:"barrier-release" ~parts:payload.Backend.p_parts
+            (transport t) ~src:pid ~dst:bc.bc_pid ~bytes:payload.Backend.p_bytes bc.bc_mb
+            { br_payload = payload; br_gc = run_gc }
+        end)
+      (List.sort (fun a b -> compare a.bc_pid b.bc_pid) clients)
 
-(* Tree-combining barrier ([Config.barrier_tree], crash-free by Config
-   validation): processor [pid]'s children in the arity-k tree are
-   [k*pid+1 .. k*pid+k], its parent [(pid-1)/k], the root the barrier
-   manager.  Arrivals are absorbed edge by edge on the way up — an
-   interior node forwards with [relay], carrying everything its parent
-   may lack, not just its own records — and releases flow back down the
-   same edges, each parent rebuilding per-child payloads after absorbing
-   its own release.  Over-approximation along the way is safe because
-   incorporation is idempotent (VT-covered intervals are skipped); the
-   point is that no processor touches more than [tree_arity] messages
-   per barrier where the flat manager touched [nprocs - 1]. *)
-let barrier_tree t ~pid ~id ~epoch ~want_gc =
-  let nchildren = List.length (tree_children t pid) in
-  let bs = tree_state_of t ~pid ~id in
-  if Vec.length bs.bs_clients < nchildren then Engine.await bs.bs_all_in;
-  let clients = Vec.to_list bs.bs_clients in
-  let subtree_gc = want_gc || bs.bs_gc in
-  (* Drop the occurrence's state before any release goes out: a child
-     cannot re-arrive at this id until released through this node. *)
-  Hashtbl.remove t.tree_states (pid, id);
-  if pid = barrier_manager then begin
-    barrier_release_clients t ~pid ~run_gc:subtree_gc clients;
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    t.backend.Backend.b_barrier_depart ~pid;
-    if subtree_gc then gc_phase t pid
-  end
-  else begin
-    let parent = tree_parent t pid in
-    let mb = Transport.mailbox () in
-    let arr = t.backend.Backend.b_make_arrival ~pid ~mgr:parent ~relay:(nchildren > 0) in
-    Transport.send ~label:"barrier-arrival" ~parts:arr.Backend.v_parts (transport t)
-      ~src:pid ~dst:parent ~bytes:arr.Backend.v_bytes
-      ~deliver:(fun h ->
-        let pbs = tree_state_of t ~pid:parent ~id in
-        arr.Backend.v_absorb_mgr ~charge:(h_charge h);
-        Vec.push pbs.bs_clients
-          { bc_pid = pid; bc_release = arr.Backend.v_release; bc_mb = mb };
-        pbs.bs_gc <- pbs.bs_gc || subtree_gc;
-        if
-          Vec.length pbs.bs_clients >= List.length (tree_children t parent)
-          && not (Engine.Ivar.is_filled pbs.bs_all_in)
-        then Engine.fill (engine t) pbs.bs_all_in ~at:(Engine.hnow h) ());
-    let rel = Transport.await_value (transport t) mb in
-    atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    (* This node now has its parent's full knowledge; rebuild and send
-       the children's releases from it. *)
-    barrier_release_clients t ~pid ~run_gc:rel.br_gc clients;
-    if rel.br_gc then gc_phase t pid
-  end
-
+(* Arrivals are absorbed edge by edge on the way up — an interior node
+   forwards with [relay], carrying everything its parent may lack, not
+   just its own records — and releases flow back down the same edges,
+   each parent rebuilding per-child payloads after absorbing its own
+   release.  Over-approximation along the way is safe because
+   incorporation is idempotent (VT-covered intervals are skipped).  In
+   the default one-level tree every client is a leaf and the root is
+   the central manager of §3.4. *)
 let barrier t ~pid ~id =
   let node = t.cl.Cluster.nodes.(pid) in
   Log.debug (fun m -> m "[t=%d] barrier %d arrival by %d" (Engine.now (engine t)) id pid);
@@ -695,45 +586,42 @@ let barrier t ~pid ~id =
       emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
     race_barrier_depart t ~pid ~id
   end
-  else if (config t).Config.barrier_tree then barrier_tree t ~pid ~id ~epoch ~want_gc
-  else if pid = barrier_manager then begin
-    let bs = barrier_state_of t id in
-    bs.bs_manager_here <- true;
-    bs.bs_gc <- bs.bs_gc || want_gc;
-    barrier_maybe_complete t bs ~at:(Engine.now (engine t));
-    Engine.await bs.bs_all_in;
-    let clients = Vec.to_list bs.bs_clients in
-    let run_gc = bs.bs_gc in
-    (* Reset before releasing so the next use of this id starts clean. *)
-    bs.bs_clients <- Vec.create ();
-    bs.bs_manager_here <- false;
-    bs.bs_all_in <- Engine.Ivar.create ();
-    bs.bs_gc <- false;
-    barrier_release_clients t ~pid ~run_gc clients;
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    t.backend.Backend.b_barrier_depart ~pid;
-    if run_gc then gc_phase t pid
-  end
   else begin
-    let mb = Transport.mailbox () in
-    let arr = t.backend.Backend.b_make_arrival ~pid ~mgr:barrier_manager ~relay:false in
-    Transport.send ~label:"barrier-arrival" ~parts:arr.Backend.v_parts (transport t)
-      ~src:pid ~dst:barrier_manager ~bytes:arr.Backend.v_bytes
-      ~deliver:(fun h ->
-        let bs = barrier_state_of t id in
-        arr.Backend.v_absorb_mgr ~charge:(h_charge h);
-        Vec.push bs.bs_clients
-          { bc_pid = pid; bc_release = arr.Backend.v_release; bc_mb = mb };
-        bs.bs_gc <- bs.bs_gc || want_gc;
-        barrier_maybe_complete t bs ~at:(Engine.hnow h));
-    let rel = Transport.await_value (transport t) mb in
-    atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
-    if Engine.tracing (engine t) then
-      emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
-    race_barrier_depart t ~pid ~id;
-    if rel.br_gc then gc_phase t pid
+    let clients =
+      await_children t t.tree_states.(pid) id ~pid ~client_pid:barrier_client_pid
+    in
+    let subtree_gc = want_gc || List.exists (fun bc -> bc.bc_gc) clients in
+    if pid = barrier_manager then begin
+      barrier_release_clients t ~pid ~run_gc:subtree_gc clients;
+      if Engine.tracing (engine t) then
+        emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
+      race_barrier_depart t ~pid ~id;
+      t.backend.Backend.b_barrier_depart ~pid;
+      if subtree_gc then gc_phase t pid
+    end
+    else begin
+      let parent = tree_parent t pid in
+      let mb = Transport.mailbox () in
+      let arr = t.backend.Backend.b_make_arrival ~pid ~mgr:parent ~relay:(clients <> []) in
+      let client =
+        { bc_pid = pid; bc_gc = subtree_gc; bc_release = arr.Backend.v_release; bc_mb = mb }
+      in
+      Transport.send ~label:"barrier-arrival" ~parts:arr.Backend.v_parts (transport t)
+        ~src:pid ~dst:parent ~bytes:arr.Backend.v_bytes
+        ~deliver:(fun h ->
+          arr.Backend.v_absorb_mgr ~charge:(h_charge h);
+          note_child t t.tree_states.(parent) id ~parent ~client_pid:barrier_client_pid client
+            h);
+      let rel = Transport.await_value (transport t) mb in
+      atomically (fun charge -> rel.br_payload.Backend.p_absorb ~charge);
+      if Engine.tracing (engine t) then
+        emit t ~pid (Tmk_trace.Event.Barrier_release { id; epoch });
+      race_barrier_depart t ~pid ~id;
+      (* This node now has its parent's full knowledge; rebuild and send
+         the children's releases from it. *)
+      barrier_release_clients t ~pid ~run_gc:rel.br_gc clients;
+      if rel.br_gc then gc_phase t pid
+    end
   end
 
 let charge_compute _t ~pid:_ ns = app_charge Category.Computation (Vtime.ns ns)
@@ -901,11 +789,18 @@ let note_death t dead_pid =
       t.backend.Backend.b_on_death dead_pid;
       let locks = recover_locks t in
       let retries = retry_pending_ops t dead_pid in
-      (* Barriers and GC whose completion was gated on the dead client. *)
+      (* Barriers and GC rounds whose completion was gated on the dead
+         child. *)
+      let at = Engine.now (engine t) in
+      Array.iteri
+        (fun pid tbl ->
+          Hashtbl.iter
+            (fun _id c -> fill_if_complete t ~pid c ~client_pid:barrier_client_pid ~at)
+            tbl)
+        t.tree_states;
       Hashtbl.iter
-        (fun _id bs -> barrier_maybe_complete t bs ~at:(Engine.now (engine t)))
-        t.barrier_states;
-      gc_maybe_complete t;
+        (fun pid c -> fill_if_complete t ~pid c ~client_pid:gc_client_pid ~at)
+        t.gc_tree;
       t.deaths <- { d_pid = dead_pid; d_crash_at = crash_at; d_detected_at = detected_at } :: t.deaths;
       (* A zero-recovery backend rode out the crash by construction:
          record a recovery only when something was actually rebuilt. *)
@@ -1115,10 +1010,8 @@ let create cfg =
       backend;
       lock_states = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 16);
       lock_mgrs = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 16);
-      barrier_states = Hashtbl.create 4;
-      tree_states = Hashtbl.create 16;
-      gc_tree = Hashtbl.create 16;
-      gc = fresh_gc_state ();
+      tree_states = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 1);
+      gc_tree = Hashtbl.create 1;
       waiting_acquires = Array.init cfg.Config.nprocs (fun _ -> Hashtbl.create 4);
       grant_target = Hashtbl.create 16;
       deaths = [];

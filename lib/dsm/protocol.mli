@@ -18,11 +18,13 @@
     - {b locks} (§3.3): token caching, static managers with cyclic
       failover, request forwarding to the last requester, queued waiters
       drained at release;
-    - {b barriers} (§3.4): centralized manager (processor 0), arrival
-      collection, per-client release fan-out;
+    - {b barriers} (§3.4): arrival collection and per-client release
+      fan-out over a combining tree rooted at processor 0, one level by
+      default (the centralized manager), deeper for a
+      [Config.tree_arity] below [nprocs - 1];
     - {b garbage collection} (§3.6): triggered when the backend's
-      [b_want_gc] says so, keep-bitmap exchange, copyset adoption,
-      record discard;
+      [b_want_gc] says so, keep-bitmap exchange over the barrier's tree,
+      copyset adoption, record discard;
     - {b crash handling}: suspicion-driven death detection, membership
       epochs, deterministic metadata failover, heartbeat probing and the
       post-recovery grace window.
@@ -48,7 +50,7 @@
     tokens are regenerated, live waiters are re-injected in pid order,
     registered in-flight operations are re-issued against live peers,
     the backend prunes its own per-processor state ([b_on_death]), and
-    barrier/GC completion re-counts against the live membership.  A
+    barrier/GC completion re-counts the live children.  A
     backend with [caps.c_zero_recovery] (SC-ABD) rides out the crash by
     construction: nothing is rebuilt and no recovery is recorded.  A run
     that would need state only the dead processor held records a

@@ -990,7 +990,7 @@ let e13 () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* E14: metadata-plane scaling, flat vs ring-sharded + tree barriers   *)
+(* E14: metadata-plane scaling, flat vs ring-sharded + arity-4 tree    *)
 
 (* Water is excluded: its lock-heavy molecule sweep runs minutes of wall
    time per 1024-processor arm without exercising the metadata plane any
@@ -1000,9 +1000,11 @@ let e14_protocols = [ Config.Lrc; Config.Tardis ]
 let e14_procs = ref [ 64; 256; 1024 ]
 let set_e14_procs l = if l <> [] then e14_procs := List.sort_uniq compare l
 
+(* Sharded arms pair the ring with an arity-4 barrier tree; flat arms
+   keep the default one-level tree, the centralized manager. *)
 let e14_cfg ~app ~n ~protocol ~sharded =
   let cfg = Harness.config ~app ~nprocs:n ~protocol ~net:atm in
-  { cfg with Config.sharding = sharded; barrier_tree = sharded }
+  if sharded then { cfg with Config.sharding = true; tree_arity = 4 } else cfg
 
 (* The hot-spot metric: frames delivered at processor 0 — the flat
    design's barrier manager, GC aggregator and home of the low-numbered

@@ -46,8 +46,8 @@ type id =
   | E14
       (** metadata-plane scaling study: Jacobi and TSP on 64–1024
           processors under lazy and tardis, flat (static ownership,
-          centralized barriers) versus sharded ([Config.sharding] +
-          [Config.barrier_tree]) — execution time, messages per acquire,
+          one-level barrier tree) versus sharded ([Config.sharding] + an
+          arity-4 [Config.tree_arity]) — execution time, messages per acquire,
           and the hot-spot metric: frames delivered at processor 0 per
           barrier, which grows O(nprocs) flat and stays near the tree
           arity sharded.  Digest-checks every flat/sharded pair.  Also

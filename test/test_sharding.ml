@@ -1,5 +1,6 @@
-(* The sharded metadata plane: consistent-hash ownership ring, tree
-   barriers, and their equivalence to the flat design.
+(* The sharded metadata plane: consistent-hash ownership ring, deeper
+   barrier trees, and their equivalence to the flat design (static
+   ownership, the default one-level tree).
 
    - ring placement is a pure function of (nprocs, seed, vnodes): two
      builds agree key for key, and a different seed moves keys;
@@ -7,16 +8,19 @@
    - a death moves exactly the dead owner's shards, every other key
      keeps its owner (the minimal-migration property recovery relies
      on);
-   - tree-combining barriers and ring-sharded ownership are pure
+   - an arity-4 barrier tree and ring-sharded ownership are pure
      message-topology changes: applications digest identically to the
-     flat runs, with and without a GC phase riding the barrier;
+     flat runs, with and without a GC phase riding the barrier, and
+     every arity, the default one-level tree included, gives the same
+     answer;
    - the protocol invariant oracle (barrier epoch agreement, interval
      coverage) stays clean when arrivals combine up a tree;
    - a crash under ring sharding still completes (the ring's live walk
      replaces the cyclic managership seek);
-   - configuration validation: tree arities below 2, tree barriers with
-     crash schedules, and processor counts above a backend's ceiling are
-     rejected. *)
+   - configuration validation: tree arities below 2, crash schedules
+     with a tree deeper than one level, and processor counts above a
+     backend's ceiling are rejected; a crash schedule at the default
+     arity is accepted. *)
 
 open Tmk_dsm
 module Harness = Tmk_harness.Harness
@@ -110,7 +114,7 @@ let ring_minimal_migration () =
 
 let sharded_cfg ~app ~nprocs ~protocol =
   let cfg = Harness.config ~app ~nprocs ~protocol ~net:Tmk_net.Params.atm_aal34 in
-  { cfg with Config.sharding = true; barrier_tree = true }
+  { cfg with Config.sharding = true; tree_arity = 4 }
 
 let flat_cfg ~app ~nprocs ~protocol =
   Harness.config ~app ~nprocs ~protocol ~net:Tmk_net.Params.atm_aal34
@@ -138,7 +142,8 @@ let tree_matches_flat () =
       (Harness.Ilink, 8, Config.Lrc);
     ]
 
-(* Odd arities change the tree shape, not the answer. *)
+(* Odd arities change the tree shape, not the answer; the default arity
+   is the one-level tree. *)
 let tree_arity_invariant () =
   let digest arity =
     let cfg = { (sharded_cfg ~app:Harness.Jacobi ~nprocs:16 ~protocol:Config.Lrc) with
@@ -147,7 +152,9 @@ let tree_arity_invariant () =
   in
   let d2 = digest 2 and d3 = digest 3 and d8 = digest 8 in
   check Alcotest.string "arity 2 = arity 3" d2 d3;
-  check Alcotest.string "arity 2 = arity 8" d2 d8
+  check Alcotest.string "arity 2 = arity 8" d2 d8;
+  check Alcotest.string "arity 2 = the default one-level tree" d2
+    (digest Config.default.Config.tree_arity)
 
 let gc_through_tree_matches_flat () =
   let mutate cfg = { cfg with Config.gc_threshold = 40 } in
@@ -180,7 +187,7 @@ let oracle_clean_on_tree_run () =
       pages = Tmk_apps.Jacobi.pages_needed p;
       seed = 99L;
       sharding = true;
-      barrier_tree = true;
+      tree_arity = 4;
       check = Some (Tmk_check.Checker.create ~oracle ());
     }
   in
@@ -216,16 +223,18 @@ let rejects_invalid_configs () =
     | exception Invalid_argument _ -> ()
     | (_ : Protocol.t) -> Alcotest.failf "%s: expected Invalid_argument" name
   in
+  let crash = Fault_plan.with_crash Fault_plan.none ~pid:2 ~at:(Tmk_sim.Vtime.ms 1) in
   expect_invalid "tree arity below 2"
-    { Config.default with Config.nprocs = 4; pages = 4; barrier_tree = true; tree_arity = 1 };
-  expect_invalid "tree barriers with a crash schedule"
-    {
-      Config.default with
-      Config.nprocs = 4;
-      pages = 4;
-      barrier_tree = true;
-      faults = Fault_plan.with_crash Fault_plan.none ~pid:2 ~at:(Tmk_sim.Vtime.ms 1);
-    };
+    { Config.default with Config.nprocs = 4; pages = 4; tree_arity = 1 };
+  expect_invalid "a two-level tree with a crash schedule"
+    { Config.default with Config.nprocs = 4; pages = 4; tree_arity = 2; faults = crash };
+  (* a crash schedule is fine on the one-level tree, by default or by an
+     arity of nprocs - 1 *)
+  ignore
+    (Protocol.create { Config.default with Config.nprocs = 4; pages = 4; faults = crash });
+  ignore
+    (Protocol.create
+       { Config.default with Config.nprocs = 4; pages = 4; tree_arity = 3; faults = crash });
   expect_invalid "sc-abd beyond its 64-processor ceiling"
     { Config.default with Config.nprocs = 128; pages = 4; protocol = Config.Sc_abd };
   (* and the ceilings admit what they claim to *)
@@ -234,7 +243,13 @@ let rejects_invalid_configs () =
        { Config.default with Config.nprocs = 64; pages = 4; protocol = Config.Sc_abd });
   ignore
     (Protocol.create
-       { Config.default with Config.nprocs = 1024; pages = 4; sharding = true; barrier_tree = true })
+       {
+         Config.default with
+         Config.nprocs = 1024;
+         pages = 4;
+         sharding = true;
+         tree_arity = 4;
+       })
 
 let suite =
   [
