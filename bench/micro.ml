@@ -1,15 +1,17 @@
 (* Hot-path microbenchmarks with in-binary baselines.
 
-   Each benchmark measures the current implementation against the code it
-   replaced, kept verbatim in this file ([Rle_ref] is the byte-wise diff
-   encoder; the software-MMU baseline is the same [Vm] with the fast path
-   switched off), so the speedup numbers survive without needing an old
-   checkout to compare against.  Results go to stdout and BENCH_6.json.
+   Where the current implementation replaced older code, the benchmark
+   measures it against that code, kept verbatim in this file ([Rle_ref]
+   is the byte-wise diff encoder; the software-MMU baseline is the same
+   [Vm] with the fast path switched off), so the speedup numbers survive
+   without needing an old checkout to compare against.  Results go to
+   stdout and BENCH_6.json.
 
    Usage: bench/micro.exe [output.json]   (default BENCH_6.json) *)
 
 open Tmk_sim
 open Tmk_dsm
+module Json = Tmk_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: the pre-word-granular RLE encoder, byte-at-a-time.        *)
@@ -256,6 +258,48 @@ let bench_events () =
   in
   { b_name = "engine_events_per_sec"; b_unit = "events/s"; b_baseline = None; b_current = current }
 
+let vector_pair () =
+  let a = Vector_time.create 8 and b = Vector_time.create 8 in
+  for q = 0 to 7 do
+    Vector_time.set a q (q * 3);
+    Vector_time.set b q (24 - (q * 3))
+  done;
+  (a, b)
+
+let bench_vt_leq () =
+  (* Vector-timestamp comparison at the paper's 8 processors: the test
+     behind every "has this interval been seen" decision.  No baseline. *)
+  let a, b = vector_pair () in
+  let current =
+    rate_of (fun n ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Vector_time.leq a b))
+        done)
+  in
+  {
+    b_name = "vector_time_leq_per_sec";
+    b_unit = "ops/s";
+    b_baseline = None;
+    b_current = current;
+  }
+
+let bench_vt_max () =
+  (* Pointwise maximum, as a processor merges an incoming timestamp on
+     acquire.  No baseline. *)
+  let a, b = vector_pair () in
+  let current =
+    rate_of (fun n ->
+        for _ = 1 to n do
+          Vector_time.max_into ~src:b ~dst:a
+        done)
+  in
+  {
+    b_name = "vector_time_max_into_per_sec";
+    b_unit = "ops/s";
+    b_baseline = None;
+    b_current = current;
+  }
+
 let bench_e2e () =
   (* End-to-end: the five applications at 8 processors (one batched arm of
      the E11 sweep each), fast path off vs on.  Simulated results are
@@ -289,21 +333,18 @@ let bench_e2e () =
 (* Reporting                                                           *)
 
 let json_of benches =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i bench ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"unit\": %S, \"baseline\": %s, \"current\": %.1f, \
-            \"speedup\": %s}"
-           bench.b_name bench.b_unit (opt bench.b_baseline) bench.b_current
-           (match speedup bench with None -> "null" | Some s -> Printf.sprintf "%.2f" s)))
-    benches;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let opt = function None -> Json.Null | Some v -> Json.Float v in
+  let row bench =
+    Json.Obj
+      [
+        ("name", Json.String bench.b_name);
+        ("unit", Json.String bench.b_unit);
+        ("baseline", opt bench.b_baseline);
+        ("current", Json.Float bench.b_current);
+        ("speedup", opt (speedup bench));
+      ]
+  in
+  Json.Obj [ ("benchmarks", Json.List (List.map row benches)) ]
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_6.json" in
@@ -311,7 +352,7 @@ let () =
   let benches =
     [
       bench_encode (); bench_apply (); bench_diffs (); bench_vm_access ();
-      bench_vm_faults (); bench_events (); bench_e2e ();
+      bench_vm_faults (); bench_events (); bench_vt_leq (); bench_vt_max (); bench_e2e ();
     ]
   in
   Printf.printf "%-36s %14s %14s %9s\n" "benchmark" "baseline" "current" "speedup";
@@ -323,7 +364,5 @@ let () =
         (match speedup bench with None -> "-" | Some s -> Printf.sprintf "%.2fx" s)
         bench.b_unit)
     benches;
-  let oc = open_out out in
-  output_string oc (json_of benches);
-  close_out oc;
+  Json.to_file out (json_of benches);
   Printf.printf "\n[raw measurements written to %s]\n" out

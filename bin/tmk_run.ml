@@ -489,7 +489,7 @@ let cmd =
         | Sys_error msg ->
           prerr_endline ("tmk_run: " ^ msg);
           exit 1
-        | Tmk_trace.Jsonl.Parse_error msg ->
+        | Tmk_util.Json.Parse_error msg ->
           prerr_endline (Printf.sprintf "tmk_run: %s: %s" file msg);
           exit 1)
       | None ->

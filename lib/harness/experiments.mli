@@ -66,7 +66,7 @@ val id_of_name : string -> id
 val describe : id -> string
 
 (** [set_jobs n] — run the independent arms of sweep experiments (E10,
-    E11, E13) on up to [n] OCaml domains via {!Harness.parallel_map}.
+    E11, E13, E14) on up to [n] OCaml domains via {!Harness.parallel_map}.
     The default is 1 (sequential); reports are byte-identical at any
     value. *)
 val set_jobs : int -> unit

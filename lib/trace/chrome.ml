@@ -1,101 +1,66 @@
+module Json = Tmk_util.Json
+
 (* trace_event JSON writer.  Timestamps ("ts") are microseconds; ours
    are nanoseconds, so every slice boundary is time / 1000 with three
-   decimals — exact, no float rounding surprises below the picosecond. *)
+   decimals — exact, no float rounding surprises below the picosecond.
+   That fixed-point form is the one thing the shared codec cannot print,
+   so an entry's fields are JSON values or such times. *)
+
+type value = J of Json.t | Us of int
 
 let b_ts b ns =
   Buffer.add_string b (string_of_int (ns / 1000));
   Buffer.add_char b '.';
   Buffer.add_string b (Printf.sprintf "%03d" (ns mod 1000))
 
-let b_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+type emitter = { b : Buffer.t; mutable first : bool }
 
-let b_args b ev =
-  Buffer.add_string b "\"args\":{";
+let entry e fields =
+  let b = e.b in
+  if e.first then e.first <- false else Buffer.add_string b ",\n";
+  Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      b_str b k;
+      Json.to_buffer b (Json.String k);
       Buffer.add_char b ':';
-      match v with
-      | Event.Int n -> Buffer.add_string b (string_of_int n)
-      | Event.Bool v -> Buffer.add_string b (if v then "true" else "false")
-      | Event.Str s -> b_str b s
-      | Event.Ints a ->
-        Buffer.add_char b '[';
-        Array.iteri
-          (fun j n ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int n))
-          a;
-        Buffer.add_char b ']')
-    (Event.args ev);
+      match v with J j -> Json.to_buffer b j | Us ns -> b_ts b ns)
+    fields;
   Buffer.add_char b '}'
 
-type emitter = { b : Buffer.t; mutable first : bool }
+let str s = J (Json.String s)
+let int n = J (Json.Int n)
 
-let entry e f =
-  if e.first then e.first <- false else Buffer.add_string e.b ",\n";
-  Buffer.add_char e.b '{';
-  f e.b;
-  Buffer.add_char e.b '}'
+let args ev =
+  ("args", J (Json.Obj (List.map (fun (k, v) -> (k, Jsonl.arg_to_json v)) (Event.args ev))))
 
 let meta_thread e ~tid ~name =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"M\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":\"thread_name\",\"args\":{\"name\":";
-      b_str b name;
-      Buffer.add_char b '}')
+  entry e
+    [
+      ("ph", str "M"); ("pid", int 1); ("tid", int tid); ("name", str "thread_name");
+      ("args", J (Json.Obj [ ("name", Json.String name) ]));
+    ]
 
 let complete e ~tid ~name ~cat ~start ~stop ev =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"X\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":";
-      b_str b name;
-      Buffer.add_string b ",\"cat\":";
-      b_str b cat;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b start;
-      Buffer.add_string b ",\"dur\":";
-      b_ts b (stop - start);
-      Buffer.add_char b ',';
-      b_args b ev)
+  entry e
+    [
+      ("ph", str "X"); ("pid", int 1); ("tid", int tid); ("name", str name); ("cat", str cat);
+      ("ts", Us start); ("dur", Us (stop - start)); args ev;
+    ]
 
 let instant e ~tid ~cat ~ts ev =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
-      Buffer.add_string b (string_of_int tid);
-      Buffer.add_string b ",\"name\":";
-      b_str b (Event.name ev);
-      Buffer.add_string b ",\"cat\":";
-      b_str b cat;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b ts;
-      Buffer.add_char b ',';
-      b_args b ev)
+  entry e
+    [
+      ("ph", str "i"); ("s", str "t"); ("pid", int 1); ("tid", int tid);
+      ("name", str (Event.name ev)); ("cat", str cat); ("ts", Us ts); args ev;
+    ]
 
 let counter e ~name ~ts ~value =
-  entry e (fun b ->
-      Buffer.add_string b "\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":";
-      b_str b name;
-      Buffer.add_string b ",\"ts\":";
-      b_ts b ts;
-      Buffer.add_string b ",\"args\":{\"value\":";
-      Buffer.add_string b (string_of_int value);
-      Buffer.add_char b '}')
+  entry e
+    [
+      ("ph", str "C"); ("pid", int 1); ("tid", int 0); ("name", str name); ("ts", Us ts);
+      ("args", J (Json.Obj [ ("value", Json.Int value) ]));
+    ]
 
 (* Event classification. *)
 

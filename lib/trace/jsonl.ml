@@ -1,65 +1,25 @@
-(* Hand-rolled JSON: the event vocabulary only needs ints, bools,
-   strings and int arrays, and keeping the encoder local makes the
-   output byte-stable by construction. *)
+module Json = Tmk_util.Json
 
-let escape_to b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let arg_to_json = function
+  | Event.Int n -> Json.Int n
+  | Event.Bool v -> Json.Bool v
+  | Event.Str s -> Json.String s
+  | Event.Ints a -> Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
 
-let add_string b s =
-  Buffer.add_char b '"';
-  escape_to b s;
-  Buffer.add_char b '"'
+let record_to_json (r : Sink.record) =
+  Json.Obj
+    (("t", Json.Int r.r_time)
+    :: ("pid", Json.Int r.r_pid)
+    :: ("ev", Json.String (Event.name r.r_ev))
+    :: List.map (fun (k, v) -> (k, arg_to_json v)) (Event.args r.r_ev))
 
-let add_arg b = function
-  | Event.Int n -> Buffer.add_string b (string_of_int n)
-  | Event.Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Event.Str s -> add_string b s
-  | Event.Ints a ->
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i n ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int n))
-      a;
-    Buffer.add_char b ']'
-
-let record_to_buffer b (r : Sink.record) =
-  Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (string_of_int r.r_time);
-  Buffer.add_string b ",\"pid\":";
-  Buffer.add_string b (string_of_int r.r_pid);
-  Buffer.add_string b ",\"ev\":";
-  add_string b (Event.name r.r_ev);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      add_string b k;
-      Buffer.add_char b ':';
-      add_arg b v)
-    (Event.args r.r_ev);
-  Buffer.add_char b '}'
-
-let record_to_string r =
-  let b = Buffer.create 96 in
-  record_to_buffer b r;
-  Buffer.contents b
+let record_to_string r = Json.to_string (record_to_json r)
 
 let to_string sink =
   let b = Buffer.create 4096 in
   Sink.iter
     (fun r ->
-      record_to_buffer b r;
+      Json.to_buffer b (record_to_json r);
       Buffer.add_char b '\n')
     sink;
   Buffer.contents b
@@ -71,124 +31,44 @@ let write oc sink =
       output_char oc '\n')
     sink
 
-(* Decoder: the exact inverse of the encoder above.  Not a general JSON
-   parser — it accepts precisely the subset the encoder produces (flat
-   object, int/bool/string/int-array values), which is all a recorded
-   trace can contain. *)
-
-exception Parse_error of string
+(* Decoding: the generic parser, then the record shape on top.  Shape
+   errors point past the end of the line, where decoding stopped. *)
 
 let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then line.[!pos] else '\255' in
-  let advance () = incr pos in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
+  let fail msg =
+    raise (Json.Parse_error (Printf.sprintf "%s at byte %d" msg (String.length line)))
   in
-  let parse_int () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start || (line.[start] = '-' && !pos = start + 1) then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
+  let fields =
+    match Json.of_string line with Json.Obj fields -> fields | _ -> fail "expected object"
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\255' -> fail "unterminated string"
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let code =
-            try int_of_string ("0x" ^ String.sub line !pos 4)
-            with _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          if code > 0xFF then fail "non-latin \\u escape";
-          Buffer.add_char b (Char.chr code)
-        | _ -> fail "unknown escape");
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let expect_word w v =
-    if !pos + String.length w <= n && String.sub line !pos (String.length w) = w then begin
-      pos := !pos + String.length w;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" w)
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> Event.Str (parse_string ())
-    | 't' -> expect_word "true" (Event.Bool true)
-    | 'f' -> expect_word "false" (Event.Bool false)
-    | '[' ->
-      advance ();
-      let items = ref [] in
-      if peek () = ']' then advance ()
-      else begin
-        let rec go () =
-          items := parse_int () :: !items;
-          match peek () with
-          | ',' -> advance (); go ()
-          | ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        go ()
-      end;
-      Event.Ints (Array.of_list (List.rev !items))
-    | _ -> Event.Int (parse_int ())
-  in
-  expect '{';
-  let fields = ref [] in
-  (if peek () = '}' then advance ()
-   else
-     let rec go () =
-       let k = parse_string () in
-       expect ':';
-       let v = parse_value () in
-       fields := (k, v) :: !fields;
-       match peek () with
-       | ',' -> advance (); go ()
-       | '}' -> advance ()
-       | _ -> fail "expected ',' or '}'"
-     in
-     go ());
-  if !pos <> n then fail "trailing bytes after object";
-  let fields = List.rev !fields in
   let int_field k =
     match List.assoc_opt k fields with
-    | Some (Event.Int v) -> v
+    | Some (Json.Int v) -> v
     | _ -> fail (Printf.sprintf "missing integer field %S" k)
   in
   let str_field k =
     match List.assoc_opt k fields with
-    | Some (Event.Str v) -> v
+    | Some (Json.String v) -> v
     | _ -> fail (Printf.sprintf "missing string field %S" k)
   in
   let time = int_field "t" and pid = int_field "pid" and ev_name = str_field "ev" in
-  let args = List.filter (fun (k, _) -> k <> "t" && k <> "pid" && k <> "ev") fields in
+  let arg_of k = function
+    | Json.Int n -> Event.Int n
+    | Json.Bool v -> Event.Bool v
+    | Json.String s -> Event.Str s
+    | Json.List items ->
+      let int_of = function
+        | Json.Int n -> n
+        | _ -> fail (Printf.sprintf "non-integer item in field %S" k)
+      in
+      Event.Ints (Array.of_list (List.map int_of items))
+    | _ -> fail (Printf.sprintf "unsupported value for field %S" k)
+  in
+  let args =
+    List.filter_map
+      (fun (k, v) -> if k = "t" || k = "pid" || k = "ev" then None else Some (k, arg_of k v))
+      fields
+  in
   match Event.of_args ev_name args with
   | Some ev -> { Sink.r_time = time; r_pid = pid; r_ev = ev }
   | None -> fail (Printf.sprintf "unknown or malformed event %S" ev_name)
@@ -203,8 +83,8 @@ let read_channel ic =
        if String.length line > 0 then begin
          let r =
            try parse_line line
-           with Parse_error msg ->
-             raise (Parse_error (Printf.sprintf "line %d: %s" !lineno msg))
+           with Json.Parse_error msg ->
+             raise (Json.Parse_error (Printf.sprintf "line %d: %s" !lineno msg))
          in
          Sink.emit sink ~time:r.Sink.r_time ~pid:r.Sink.r_pid r.Sink.r_ev
        end

@@ -11,6 +11,10 @@
     equality test on event streams (the determinism tests rely on
     this). *)
 
+(** [arg_to_json a] — the JSON value an event argument prints as (the
+    Chrome export reuses it for its [args] objects). *)
+val arg_to_json : Event.arg -> Tmk_util.Json.t
+
 (** [record_to_string r] — one line, without the trailing newline. *)
 val record_to_string : Sink.record -> string
 
@@ -23,19 +27,18 @@ val write : out_channel -> Sink.t -> unit
 
 (** {2 Reading recorded streams back}
 
-    The decoder accepts exactly what the encoder produces (the offline
-    invariant oracle re-checks recorded runs this way); it is not a
-    general JSON parser. *)
-
-exception Parse_error of string
+    The offline invariant oracle re-checks recorded runs this way.  Any
+    line the encoder can produce decodes to the record it came from. *)
 
 (** [parse_line line] — decode one line (no trailing newline).
-    @raise Parse_error on malformed input. *)
+    @raise Tmk_util.Json.Parse_error on malformed JSON, or on an object
+    that is not a known event record. *)
 val parse_line : string -> Sink.record
 
 (** [read_channel ic] / [read_file path] — decode a whole stream into a
     fresh sink, skipping blank lines.
-    @raise Parse_error with a line number on malformed input. *)
+    @raise Tmk_util.Json.Parse_error with a line number on malformed
+    input. *)
 val read_channel : in_channel -> Sink.t
 
 val read_file : string -> Sink.t

@@ -304,7 +304,7 @@ let discipline_unsynchronized_shadow () =
     (List.map (fun f -> f.Findings.rule) (Discipline.findings d ~racy_words:[ 99 ]))
 
 (* ------------------------------------------------------------------ *)
-(* Findings model: serializations round-trip, canonical order holds.    *)
+(* Findings model: canonical order, byte-stable serializations.         *)
 
 let sample_findings =
   [
@@ -325,19 +325,11 @@ let sample_findings =
     };
   ]
 
-let findings_jsonl_roundtrip () =
-  let sorted = Findings.sort_dedup sample_findings in
-  check Alcotest.bool "errors sort first" true
-    ((List.hd sorted).Findings.severity = Findings.Error);
-  let encoded = Findings.to_jsonl sorted in
-  let decoded = Findings.of_jsonl encoded in
-  check Alcotest.int "same length" (List.length sorted) (List.length decoded);
-  List.iter2
-    (fun a b ->
-      check Alcotest.int "round-trips" 0 (compare a b))
-    sorted decoded;
-  check Alcotest.string "re-encoding is byte-identical" encoded
-    (Findings.to_jsonl decoded)
+let findings_canonical_order () =
+  let sorted = Findings.sort_dedup (sample_findings @ sample_findings) in
+  check (Alcotest.list Alcotest.string) "errors, then warnings, then info, no duplicates"
+    [ "error"; "warning"; "info" ]
+    (List.map (fun f -> Findings.severity_name f.Findings.severity) sorted)
 
 let findings_jsonl_golden () =
   let f = List.nth sample_findings 1 in
@@ -538,7 +530,7 @@ let suite =
     Alcotest.test_case "discipline: read-only lock" `Quick discipline_no_protected_writes;
     Alcotest.test_case "discipline: unsynchronized shadow" `Quick
       discipline_unsynchronized_shadow;
-    Alcotest.test_case "findings: jsonl round-trip" `Quick findings_jsonl_roundtrip;
+    Alcotest.test_case "findings: canonical order" `Quick findings_canonical_order;
     Alcotest.test_case "findings: jsonl golden" `Quick findings_jsonl_golden;
     Alcotest.test_case "findings: sarif shape" `Quick findings_sarif_shape;
     Alcotest.test_case "findings: table" `Quick findings_table_all_clear;

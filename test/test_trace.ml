@@ -275,6 +275,13 @@ let jsonl_roundtrip () =
   check Alcotest.int "record count" (Sink.length sink) (Sink.length reparsed);
   check Alcotest.string "parse . print = id" text (Jsonl.to_string reparsed)
 
+(* An integer too large for an OCaml int is a typed parse error, not a
+   [Failure] escaping from [int_of_string]. *)
+let jsonl_int_overflow () =
+  Alcotest.check_raises "typed error"
+    (Tmk_util.Json.Parse_error "integer out of range at byte 5") (fun () ->
+      ignore (Jsonl.parse_line {|{"t":99999999999999999999,"pid":0,"ev":"proc-finish"}|}))
+
 (* An unmatched begin event is closed at the last record's time. *)
 let chrome_closes_open_spans () =
   let open Event in
@@ -379,6 +386,7 @@ let suite =
       report_survives_zero_acquires;
     Alcotest.test_case "jsonl golden" `Quick jsonl_golden;
     Alcotest.test_case "jsonl roundtrip" `Quick jsonl_roundtrip;
+    Alcotest.test_case "jsonl integer overflow" `Quick jsonl_int_overflow;
     Alcotest.test_case "chrome golden" `Quick chrome_golden;
     Alcotest.test_case "chrome closes open spans" `Quick chrome_closes_open_spans;
     Alcotest.test_case "determinism jacobi" `Quick determinism_jacobi;

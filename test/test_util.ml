@@ -1,5 +1,5 @@
 (* Unit and property tests for Tmk_util: PRNG, heap, RLE, bitset, summary
-   statistics, table rendering. *)
+   statistics, table rendering, the JSON codec. *)
 
 open Tmk_util
 
@@ -336,6 +336,111 @@ let tablefmt_charts_do_not_crash () =
   in
   ()
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let json_golden () =
+  List.iter
+    (fun (want, v) -> check Alcotest.string want want (Json.to_string v))
+    [
+      ("null", Json.Null);
+      ("true", Json.Bool true);
+      ("false", Json.Bool false);
+      ("-42", Json.Int (-42));
+      ("0.1", Json.Float 0.1);
+      ("2.0", Json.Float 2.0);
+      ("-0.0", Json.Float (-0.0));
+      ("0.3333333333333333", Json.Float (1.0 /. 3.0));
+      ("1e-07", Json.Float 1e-7);
+      ("1e+21", Json.Float 1e21);
+      ("\"a b\"", Json.String "a b");
+      ("[]", Json.List []);
+      ("[1,\"x\",null]", Json.List [ Json.Int 1; Json.String "x"; Json.Null ]);
+      ("{}", Json.Obj []);
+      ( "{\"b\":1,\"a\":[true]}",
+        Json.Obj [ ("b", Json.Int 1); ("a", Json.List [ Json.Bool true ]) ] );
+    ]
+
+let json_escaping () =
+  List.iter
+    (fun (raw, want) ->
+      check Alcotest.string (String.escaped raw) want (Json.to_string (Json.String raw)))
+    [
+      ("\"", {|"\""|});
+      ("\\", {|"\\"|});
+      ("\n", {|"\n"|});
+      ("\t", {|"\t"|});
+      ("\r", {|"\r"|});
+      ("\001", {|"\u0001"|});
+      ("\x1f", {|"\u001f"|});
+      ("\x7f", "\"\x7f\"");
+      ("\x80\xff", "\"\x80\xff\"");
+      ("caf\xc3\xa9", "\"caf\xc3\xa9\"");
+    ]
+
+let json_non_finite () =
+  List.iter
+    (fun x -> check Alcotest.string (string_of_float x) "null" (Json.to_string (Json.Float x)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 8) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let json_roundtrip =
+  qtest "json parse . print = id (float-free values)"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.of_string (Json.to_string v) = v)
+
+let json_float_reads_back =
+  qtest "json floats print as a decimal that reads back" QCheck.float (fun x ->
+      QCheck.assume (Float.is_finite x);
+      float_of_string (Json.to_string (Json.Float x)) = x)
+
+let json_parse_errors () =
+  List.iter
+    (fun (input, want) ->
+      match Json.of_string input with
+      | v -> Alcotest.failf "%S parsed as %s" input (Json.to_string v)
+      | exception Json.Parse_error msg ->
+        check Alcotest.string (String.escaped input) want msg)
+    [
+      ("", "expected integer at byte 0");
+      ("[1,2", "expected ',' or ']' at byte 4");
+      ({|{"a"1}|}, "expected ':' at byte 4");
+      ({|"abc|}, "unterminated string at byte 4");
+      ({|"\q"|}, "unknown escape at byte 2");
+      ({|"\u01ff"|}, "non-latin \\u escape at byte 3");
+      ("99999999999999999999", "integer out of range at byte 0");
+      ("[-]", "expected integer at byte 2");
+      ("[1, 2]", "expected integer at byte 3");
+      ("tru", "expected true at byte 0");
+      ("[1] ", "trailing bytes after value at byte 3");
+      ("1.5", "trailing bytes after value at byte 1");
+    ]
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick prng_deterministic;
@@ -370,4 +475,10 @@ let suite =
     Alcotest.test_case "tablefmt render" `Quick tablefmt_render;
     Alcotest.test_case "tablefmt row mismatch" `Quick tablefmt_row_mismatch;
     Alcotest.test_case "tablefmt charts" `Quick tablefmt_charts_do_not_crash;
+    Alcotest.test_case "json golden" `Quick json_golden;
+    Alcotest.test_case "json escaping" `Quick json_escaping;
+    Alcotest.test_case "json non-finite floats" `Quick json_non_finite;
+    json_roundtrip;
+    json_float_reads_back;
+    Alcotest.test_case "json parse errors" `Quick json_parse_errors;
   ]
