@@ -394,15 +394,20 @@ let fetch_and_apply_diffs cl pid page missing =
   in
   List.iter receive promises;
   atomically (fun charge ->
-      (* the fetched diffs, plus any piggybacked ones not yet reflected;
-         rev_append (not @): apply_missing_diffs sorts by timestamp *)
-      let fetched =
-        List.fold_left (fun acc (_, wns) -> List.rev_append wns acc) [] missing
-      in
-      let pending =
-        List.filter (fun wn -> not (List.memq wn fetched)) (Node.unapplied_diffs node page)
-      in
-      Node.apply_missing_diffs node page (List.rev_append fetched pending) ~charge)
+      (* the fetched diffs, plus any piggybacked ones not yet reflected:
+         once its diff is stored, a fetched notice is one of the unapplied
+         ones *)
+      List.iter
+        (fun (_, wns) ->
+          List.iter
+            (fun wn ->
+              if wn.Node.wn_diff = None then
+                invalid_arg
+                  (Printf.sprintf "Node.apply_missing_diffs: diff absent (proc %d, page %d)"
+                     wn.Node.wn_interval.Node.iv_proc page))
+            wns)
+        missing;
+      Node.apply_missing_diffs node page (Node.unapplied_diffs node page) ~charge)
 
 (* Bring [page] current: new write notices can be incorporated by a
    request handler while we wait for replies (this node may be the

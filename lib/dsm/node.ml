@@ -259,9 +259,12 @@ let invalidate t page ~charge =
   end
 
 let find_notice t ~proc ~interval_id ~page =
+  (* the list is newest-first with strictly decreasing ids: stop at the
+     first older interval *)
   let rec find = function
-    | [] -> raise Not_found
-    | wn :: rest -> if wn.wn_interval.iv_id = interval_id then wn else find rest
+    | wn :: rest when wn.wn_interval.iv_id > interval_id -> find rest
+    | wn :: _ when wn.wn_interval.iv_id = interval_id -> wn
+    | _ -> raise Not_found
   in
   find t.pages.(page).pg_notices.(proc)
 
@@ -288,23 +291,35 @@ let cached_diff t ~proc ~interval_id ~page =
 let cache_diff t ~proc ~interval_id ~page diff =
   Hashtbl.replace t.diff_cache (proc, interval_id, page) diff
 
+(* The elements of [l] satisfying [keep], in order, in front of [acc]. *)
+let rec filter_onto keep acc = function
+  | [] -> acc
+  | wn :: rest ->
+    if keep wn then wn :: filter_onto keep acc rest else filter_onto keep acc rest
+
+let lacks_diff wn = wn.wn_diff = None
+let pending wn = wn.wn_diff <> None && not wn.wn_applied
+
 let missing_diffs t page =
   (* Scan the whole notice list: with piggybacked diffs (hybrid update
      protocol) a newer notice can hold its diff while an older one still
      lacks one, so the diff-less notices are not necessarily a prefix. *)
   let entry = t.pages.(page) in
-  let per_proc q =
-    match List.filter (fun wn -> wn.wn_diff = None) entry.pg_notices.(q) with
-    | [] -> None
-    | l -> Some (q, l) (* newest-first, like the source list *)
-  in
-  List.filter_map per_proc (List.init t.nprocs (fun q -> q))
+  let groups = ref [] in
+  for q = t.nprocs - 1 downto 0 do
+    match filter_onto lacks_diff [] entry.pg_notices.(q) with
+    | [] -> ()
+    | l -> groups := (q, l) :: !groups (* newest-first, like the source list *)
+  done;
+  !groups
 
 let unapplied_diffs t page =
   let entry = t.pages.(page) in
-  List.concat_map
-    (fun q -> List.filter (fun wn -> wn.wn_diff <> None && not wn.wn_applied) entry.pg_notices.(q))
-    (List.init t.nprocs (fun q -> q))
+  let acc = ref [] in
+  for q = t.nprocs - 1 downto 0 do
+    acc := filter_onto pending !acc entry.pg_notices.(q)
+  done;
+  !acc
 
 let store_diff t ~proc ~interval_id ~page diff =
   let wn = find_notice t ~proc ~interval_id ~page in
@@ -312,6 +327,21 @@ let store_diff t ~proc ~interval_id ~page diff =
     wn.wn_diff <- Some diff;
     t.live_records <- t.live_records + 1
   end
+
+let min_stamp lo wn =
+  let vt = wn.wn_interval.iv_vt in
+  if Vector_time.compare_total vt lo < 0 then vt else lo
+
+(* The held notices of one newest-first list that must be replayed after
+   missing diffs whose oldest stamp is [lo], in order, in front of [acc].
+   Stamps strictly decrease along the list, so the notices stamped above
+   [lo] are a prefix and the walk stops at the first one that is not. *)
+let rec replay_prefix lo notices acc = function
+  | wn :: rest when Vector_time.compare_total lo wn.wn_interval.iv_vt < 0 ->
+    if wn.wn_diff <> None && not (List.memq wn notices) then
+      wn :: replay_prefix lo notices acc rest
+    else replay_prefix lo notices acc rest
+  | _ -> acc
 
 let apply_missing_diffs t page notices ~charge =
   (* The local (out-of-date) copy already reflects every previously held
@@ -322,18 +352,18 @@ let apply_missing_diffs t page notices ~charge =
      suffix instead: apply, in increasing vector-timestamp order, the
      missing diffs together with every held diff that is not ordered
      strictly before all of them. *)
-  let missing_vts = List.map (fun wn -> wn.wn_interval.iv_vt) notices in
-  let needs_replay wn =
-    wn.wn_diff <> None
-    && (not (List.memq wn notices))
-    && List.exists
-         (fun mvt -> Vector_time.compare_total mvt wn.wn_interval.iv_vt < 0)
-         missing_vts
-  in
   let replay =
-    List.concat_map
-      (fun q -> List.filter needs_replay t.pages.(page).pg_notices.(q))
-      (List.init t.nprocs (fun q -> q))
+    match notices with
+    | [] -> []
+    | first :: rest ->
+      (* "above some missing diff" is "above the oldest one": compare_total
+         is a total order *)
+      let lo = List.fold_left min_stamp first.wn_interval.iv_vt rest in
+      let acc = ref [] in
+      for q = t.nprocs - 1 downto 0 do
+        acc := replay_prefix lo notices !acc t.pages.(page).pg_notices.(q)
+      done;
+      !acc
   in
   let ordered =
     (* rev_append, not (@): [notices] can be long on the replay path and

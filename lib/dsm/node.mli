@@ -41,7 +41,15 @@ and interval = {
 (** PageArray entry. *)
 type page_entry = {
   mutable pg_copyset : Tmk_util.Bitset.t;  (** processors believed to cache the page *)
-  pg_notices : write_notice list array;  (** per processor, decreasing interval index *)
+  pg_notices : write_notice list array;
+      (** per processor, newest first: interval indices strictly decrease
+          along each list, and so do the timestamps under
+          {!Vector_time.compare_total} (a processor's later interval
+          dominates its earlier ones).  Only {!close_interval} and
+          {!incorporate} add notices, both by prepending, and
+          [incorporate] skips intervals already covered.
+          {!apply_missing_diffs} and {!find_diff} rely on this order to
+          stop their walks early. *)
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
   mutable pg_fetched : bool;
@@ -202,7 +210,11 @@ val store_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t 
 
 (** [apply_missing_diffs t page notices ~charge] — apply the given
     notices' diffs (which must all be present) in increasing
-    vector-timestamp order and validate the page ([Read_only]). *)
+    vector-timestamp order and validate the page ([Read_only]).  Every
+    other held diff stamped above the oldest of [notices] is re-applied
+    in the same order; these form a prefix of each notice list (see
+    [pg_notices]), so the cost follows the replay, not the page's
+    history. *)
 val apply_missing_diffs : t -> int -> write_notice list -> charge:charge -> unit
 
 (** [validate_page t page ~charge] — mark a freshly fetched base copy

@@ -25,11 +25,18 @@ let leq a b =
 let dominates a b = leq b a
 let equal a b = a = b
 
+(* One lexicographic pass.  It extends [leq]: if [a <= b] and [a <> b],
+   then at the first index where they differ [a] is smaller. *)
 let compare_total a b =
-  if equal a b then 0
-  else if leq a b then -1
-  else if leq b a then 1
-  else compare a b
+  let n = Array.length a in
+  if n <> Array.length b then invalid_arg "Vector_time.compare_total: size mismatch";
+  let rec go q =
+    if q = n then 0
+    else
+      let x = Array.unsafe_get a q and y = Array.unsafe_get b q in
+      if x < y then -1 else if x > y then 1 else go (q + 1)
+  in
+  go 0
 
 let bytes n = 4 * n
 

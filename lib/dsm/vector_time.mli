@@ -36,12 +36,14 @@ val dominates : t -> t -> bool
 (** [equal a b] — pointwise equality. *)
 val equal : t -> t -> bool
 
-(** [compare_total a b] is a total order extending the partial order: if
-    [leq a b] and not [equal a b] then [compare_total a b < 0].
-    Incomparable timestamps are ordered by their entry vectors
-    lexicographically.  Used to apply concurrent diffs deterministically
-    (their runs are disjoint for properly-labeled programs, so any
-    deterministic order merges correctly). *)
+(** [compare_total a b] is the lexicographic order on the entry vectors,
+    returning [-1], [0] or [1].  It is a total order extending the partial
+    order: if [leq a b] and not [equal a b], then at the first entry where
+    the two differ [a]'s is the smaller, so [compare_total a b < 0].
+    Used to apply concurrent diffs deterministically (their runs are
+    disjoint for properly-labeled programs, so any deterministic order
+    merges correctly).
+    @raise Invalid_argument when the sizes differ. *)
 val compare_total : t -> t -> int
 
 (** [bytes n] is the wire size of a timestamp over [n] processors (32-bit

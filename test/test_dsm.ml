@@ -51,6 +51,29 @@ let vt_compare_total_extends =
       else if Vector_time.leq y x then Vector_time.compare_total x y > 0
       else Vector_time.compare_total x y = -Vector_time.compare_total y x)
 
+(* compare_total is plain lexicographic order, for any cluster size; a
+   small entry range makes equal and ordered pairs common. *)
+let vt_pair_gen =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show v = String.concat "," (List.map string_of_int (Array.to_list v)) in
+      show a ^ " / " ^ show b)
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n ->
+      pair (array_size (return n) (int_range 0 3)) (array_size (return n) (int_range 0 3)))
+
+let vt_compare_total_lexicographic =
+  qtest "vt compare_total is lexicographic and extends leq" vt_pair_gen (fun (a, b) ->
+      let x = vt_of_array a and y = vt_of_array b in
+      let c = Vector_time.compare_total x y in
+      c = List.compare Int.compare (Array.to_list a) (Array.to_list b)
+      && ((not (Vector_time.leq x y)) || Vector_time.equal x y || c < 0))
+
+let vt_compare_total_size_mismatch () =
+  Alcotest.check_raises "sizes differ"
+    (Invalid_argument "Vector_time.compare_total: size mismatch") (fun () ->
+      ignore (Vector_time.compare_total (Vector_time.create 3) (Vector_time.create 4)))
+
 let wire_sizes () =
   check Alcotest.int "notice" 2 Wire.write_notice_bytes;
   check Alcotest.int "vt" 32 (Vector_time.bytes 8);
@@ -453,6 +476,8 @@ let suite =
     vt_leq_antisymmetric;
     vt_max_is_lub;
     vt_compare_total_extends;
+    vt_compare_total_lexicographic;
+    Alcotest.test_case "vt compare_total size mismatch" `Quick vt_compare_total_size_mismatch;
     Alcotest.test_case "wire sizes" `Quick wire_sizes;
     Alcotest.test_case "broadcast lrc" `Quick broadcast_lrc;
     Alcotest.test_case "broadcast erc" `Quick broadcast_erc;

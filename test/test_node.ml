@@ -216,6 +216,185 @@ let notice_counts_sizes () =
   in
   check Alcotest.(list int) "counts" [ 3; 0 ] (Node.notice_counts mis)
 
+(* ------------------------------------------------------------------ *)
+(* Replay-set equivalence.  [apply_missing_diffs] walks only the prefix
+   of each notice list stamped above the oldest missing diff.  Over
+   random histories of local intervals, incorporated remote intervals,
+   stored diffs and applications, it must replay exactly what the
+   whole-history filter below (the definition it replaced) selects, and
+   every notice list must stay strictly newest-first. *)
+
+(* The four-pass total order the one-pass compare_total replaced. *)
+let reference_compare a b =
+  if Vector_time.equal a b then 0
+  else if Vector_time.leq a b then -1
+  else if Vector_time.leq b a then 1
+  else compare a b
+
+let stamp wn = wn.Node.wn_interval.Node.iv_vt
+
+let reference_replay node page notices =
+  let needs_replay wn =
+    wn.Node.wn_diff <> None
+    && (not (List.memq wn notices))
+    && List.exists (fun m -> reference_compare (stamp m) (stamp wn) < 0) notices
+  in
+  List.concat_map
+    (fun q -> List.filter needs_replay node.Node.pages.(page).Node.pg_notices.(q))
+    (List.init node.Node.nprocs Fun.id)
+
+type op =
+  | Local of int list  (** node 0 writes these pages and closes an interval *)
+  | Remote of int * int option * (int * bool) list
+      (** processor [q], after optionally acquiring from [r], writes
+          pages (each maybe with a piggybacked diff); node 0 incorporates
+          the interval at once *)
+  | Store of int  (** store the diff of the k-th diff-less remote notice *)
+  | Apply of int * int  (** apply the held diffs of a page picked by a bit mask *)
+
+let replay_nprocs = 4
+let replay_pages = 3
+
+let show_op = function
+  | Local pages ->
+    Printf.sprintf "Local [%s]" (String.concat ";" (List.map string_of_int pages))
+  | Remote (q, r, pages) ->
+    Printf.sprintf "Remote (%d, %s, [%s])" q
+      (match r with None -> "-" | Some r -> string_of_int r)
+      (String.concat ";"
+         (List.map (fun (p, d) -> Printf.sprintf "%d%s" p (if d then "+diff" else "")) pages))
+  | Store k -> Printf.sprintf "Store %d" k
+  | Apply (page, mask) -> Printf.sprintf "Apply (%d, %d)" page mask
+
+let ops_gen =
+  let open QCheck.Gen in
+  let page = int_range 0 (replay_pages - 1) in
+  let pages = list_size (int_range 1 2) page in
+  let piggybacked = frequency [ (4, return false); (1, return true) ] in
+  let op =
+    frequency
+      [
+        (2, map (fun ps -> Local ps) pages);
+        ( 4,
+          map3
+            (fun q r ps -> Remote (q, r, ps))
+            (int_range 1 (replay_nprocs - 1))
+            (opt (int_range 0 (replay_nprocs - 1)))
+            (list_size (int_range 1 2) (pair page piggybacked)) );
+        (3, map (fun k -> Store k) (int_range 0 50));
+        (2, map2 (fun p m -> Apply (p, m)) page (int_range 1 255));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 40) op)
+
+let empty_diff = Tmk_util.Rle.of_runs []
+
+let notice_lists_descend node =
+  Array.for_all
+    (fun entry ->
+      Array.for_all
+        (fun l ->
+          let rec desc = function
+            | a :: (b :: _ as rest) ->
+              a.Node.wn_interval.Node.iv_id > b.Node.wn_interval.Node.iv_id
+              && Vector_time.compare_total (stamp a) (stamp b) > 0
+              && desc rest
+            | _ -> true
+          in
+          desc l)
+        entry.Node.pg_notices)
+    node.Node.pages
+
+let run_replay_history ops =
+  let applied = ref [] in
+  let emit = function
+    | Tmk_trace.Event.Diff_apply { proc; interval; _ } ->
+      applied := (proc, interval) :: !applied
+    | _ -> ()
+  in
+  let n = Node.create ~emit ~pid:0 ~nprocs:replay_nprocs ~pages:replay_pages () in
+  (* each remote processor's knowledge of the cluster's intervals *)
+  let known = Array.init replay_nprocs (fun _ -> Array.make replay_nprocs 0) in
+  let notices_of page = List.concat (Array.to_list n.Node.pages.(page).Node.pg_notices) in
+  let step = function
+    | Local pages ->
+      List.iter (fun p -> write n p ~offset:(8 * p) 1) pages;
+      Node.close_interval n ~charge:no_charge;
+      true
+    | Remote (q, r, pages) ->
+      (match r with
+      | Some 0 ->
+        Array.iteri (fun i v -> known.(q).(i) <- max v (Vector_time.get n.Node.vt i)) known.(q)
+      | Some r -> Array.iteri (fun i v -> known.(q).(i) <- max v known.(r).(i)) known.(q)
+      | None -> ());
+      known.(q).(q) <- known.(q).(q) + 1;
+      let vt = Vector_time.create replay_nprocs in
+      Array.iteri (Vector_time.set vt) known.(q);
+      let mi_pages =
+        List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pages
+        |> List.map (fun (p, d) -> (p, if d then Some empty_diff else None))
+      in
+      Node.incorporate n [ { Node.mi_proc = q; mi_id = known.(q).(q); mi_vt = vt; mi_pages } ]
+        ~charge:no_charge;
+      true
+    | Store k -> (
+      let lacking =
+        List.concat_map
+          (fun page ->
+            List.filter
+              (fun wn -> wn.Node.wn_diff = None && wn.Node.wn_interval.Node.iv_proc <> 0)
+              (notices_of page))
+          (List.init replay_pages Fun.id)
+      in
+      match lacking with
+      | [] -> true
+      | _ ->
+        let wn = List.nth lacking (k mod List.length lacking) in
+        Node.store_diff n ~proc:wn.Node.wn_interval.Node.iv_proc
+          ~interval_id:wn.Node.wn_interval.Node.iv_id ~page:wn.Node.wn_page empty_diff;
+        true)
+    | Apply (page, mask) -> (
+      Node.ensure_own_diff n page ~charge:no_charge;
+      let held = List.filter (fun wn -> wn.Node.wn_diff <> None) (notices_of page) in
+      let notices = List.filteri (fun i _ -> mask land (1 lsl (i mod 8)) <> 0) held in
+      match notices with
+      | [] -> true
+      | _ ->
+        let expected =
+          List.sort
+            (fun a b -> reference_compare (stamp a) (stamp b))
+            (notices @ reference_replay n page notices)
+          |> List.map (fun wn ->
+                 (wn.Node.wn_interval.Node.iv_proc, wn.Node.wn_interval.Node.iv_id))
+        in
+        applied := [];
+        Node.apply_missing_diffs n page notices ~charge:no_charge;
+        List.rev !applied = expected)
+  in
+  List.for_all (fun op -> step op && notice_lists_descend n) ops
+
+let replay_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"replay set matches the whole-history filter" ops_gen
+       run_replay_history)
+
+let find_notice_stops_early () =
+  let n = make_node ~pid:0 () in
+  Node.incorporate n
+    [ msg_interval ~proc:1 ~id:2 ~vt:[ 0; 2; 0; 0 ] ~pages:[ 2 ] ();
+      msg_interval ~proc:1 ~id:4 ~vt:[ 0; 4; 0; 0 ] ~pages:[ 2 ] () ]
+    ~charge:no_charge;
+  Node.store_diff n ~proc:1 ~interval_id:2 ~page:2 empty_diff;
+  check Alcotest.bool "older notice found behind the newer" true
+    (Node.find_diff n ~proc:1 ~interval_id:2 ~page:2 ~charge:no_charge == empty_diff);
+  List.iter
+    (fun id ->
+      Alcotest.check_raises (Printf.sprintf "interval %d unknown" id) Not_found (fun () ->
+          Node.store_diff n ~proc:1 ~interval_id:id ~page:2 empty_diff))
+    [ 1; 3; 5 ]
+
 let suite =
   [
     Alcotest.test_case "close creates interval" `Quick close_creates_interval;
@@ -231,4 +410,6 @@ let suite =
     Alcotest.test_case "discard sweeps everything" `Quick discard_sweeps_everything;
     Alcotest.test_case "modified pages tracks" `Quick modified_pages_tracks;
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
+    replay_matches_reference;
+    Alcotest.test_case "find_notice stops at older intervals" `Quick find_notice_stops_early;
   ]

@@ -197,6 +197,57 @@ let lint_findings_deterministic_across_jobs () =
   check Alcotest.bool "racey arm has findings" true
     (match List.nth sequential 2 with s -> not (String.length s < 40))
 
+(* ------------------------------------------------------------------ *)
+(* Replay-set pin.  After a diff fetch the node re-applies every held
+   diff stamped above the oldest fetched one; how it finds them is a
+   host-speed matter, what it finds is not.  Water and Quicksort at 16
+   processors (lazy, ATM, default seed) replay heavily, so they must
+   reproduce these recorded counts, simulated time, traffic and result
+   digest exactly.                                                       *)
+
+type golden = {
+  g_created : int;
+  g_applied : int;
+  g_time : int;
+  g_messages : int;
+  g_bytes : int;
+  g_digest : string;
+}
+
+let replay_golden app expected () =
+  let fp = fingerprint ~app (cfg_of ~app ~nprocs:16 ~fast:true) in
+  let what = Harness.app_name app ^ " 16p" in
+  check Alcotest.int (what ^ ": diffs created") expected.g_created
+    fp.fp_stats.Stats.diffs_created;
+  check Alcotest.int (what ^ ": diffs applied") expected.g_applied
+    fp.fp_stats.Stats.diffs_applied;
+  check Alcotest.int (what ^ ": simulated time") expected.g_time fp.fp_time;
+  check Alcotest.int (what ^ ": messages") expected.g_messages fp.fp_messages;
+  check Alcotest.int (what ^ ": bytes") expected.g_bytes fp.fp_bytes;
+  check Alcotest.string (what ^ ": digest") expected.g_digest fp.fp_digest
+
+let replay_goldens =
+  [
+    ( Harness.Water,
+      {
+        g_created = 1879;
+        g_applied = 67259;
+        g_time = 1867410464;
+        g_messages = 12926;
+        g_bytes = 4418753;
+        g_digest = "c7f75ef5b495806f2415bc74c79a0354";
+      } );
+    ( Harness.Quicksort,
+      {
+        g_created = 2926;
+        g_applied = 17006;
+        g_time = 9869892852;
+        g_messages = 24311;
+        g_bytes = 24264753;
+        g_digest = "a2d0b03ff32450c2bf75a292c27441eb";
+      } );
+  ]
+
 let suite =
   let app_case app =
     Alcotest.test_case
@@ -214,3 +265,9 @@ let suite =
       Alcotest.test_case "lint findings byte-identical across jobs" `Slow
         lint_findings_deterministic_across_jobs;
     ]
+  @ List.map
+      (fun (app, expected) ->
+        Alcotest.test_case
+          (Printf.sprintf "replay set pinned: %s at 16 procs" (Harness.app_name app))
+          `Slow (replay_golden app expected))
+      replay_goldens
