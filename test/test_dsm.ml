@@ -476,8 +476,6 @@ let suite =
     vt_leq_antisymmetric;
     vt_max_is_lub;
     vt_compare_total_extends;
-    vt_compare_total_lexicographic;
-    Alcotest.test_case "vt compare_total size mismatch" `Quick vt_compare_total_size_mismatch;
     Alcotest.test_case "wire sizes" `Quick wire_sizes;
     Alcotest.test_case "broadcast lrc" `Quick broadcast_lrc;
     Alcotest.test_case "broadcast erc" `Quick broadcast_erc;
@@ -500,4 +498,6 @@ let suite =
     Alcotest.test_case "malloc page align" `Quick malloc_page_align;
     Alcotest.test_case "out of memory detected" `Quick out_of_memory_detected;
     Alcotest.test_case "read sharing no diffs" `Quick read_sharing_no_diffs;
+    vt_compare_total_lexicographic;
+    Alcotest.test_case "vt compare_total size mismatch" `Quick vt_compare_total_size_mismatch;
   ]
