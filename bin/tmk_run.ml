@@ -46,9 +46,7 @@ let run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold ~eager
      that duplicate a confirmed race are dropped in favor of the better
      report. *)
   let race =
-    if racecheck || lint <> None then
-      Some (Tmk_check.Race.create ~nprocs ~pages:cfg.Tmk_dsm.Config.pages ())
-    else None
+    if racecheck || lint <> None then Some (Tmk_check.Race.create ~nprocs ()) else None
   in
   let oracle =
     if check_invariants then Some (Tmk_check.Oracle.create ~nprocs ()) else None
@@ -57,18 +55,16 @@ let run_one ~app ~nprocs ~protocol ~net ~show_speedup ~seed ~gc_threshold ~eager
     Option.map (fun analyzers -> Tmk_lint.Lint.create ~analyzers ~nprocs ()) lint
   in
   let cfg =
-    match (race, oracle, lint) with
-    | None, None, None -> cfg
-    | _ ->
-      let hooks, attach =
-        match lint with
-        | Some l -> ([ Tmk_lint.Lint.hooks l ], [ Tmk_lint.Lint.attach l ])
-        | None -> ([], [])
-      in
-      {
-        cfg with
-        Tmk_dsm.Config.check = Some (Tmk_check.Checker.create ?race ?oracle ~hooks ~attach ());
-      }
+    {
+      cfg with
+      Tmk_dsm.Config.check =
+        List.filter_map Fun.id
+          [
+            Option.map Tmk_check.Race.hooks race;
+            Option.map Tmk_lint.Lint.hooks lint;
+            Option.map Tmk_check.Oracle.hooks oracle;
+          ];
+    }
   in
   let m, sink =
     if trace_file <> None || trace_report then begin

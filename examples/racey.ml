@@ -25,8 +25,8 @@ let () =
       seed = 1994L;
     }
   in
-  let race = Tmk_check.Race.create ~nprocs ~pages:config.Config.pages () in
-  let config = { config with Config.check = Some (Tmk_check.Checker.create ~race ()) } in
+  let race = Tmk_check.Race.create ~nprocs () in
+  let config = { config with Config.check = [ Tmk_check.Race.hooks race ] } in
   let expected = Tmk_apps.Racey.sequential p in
   let result =
     Api.run config (fun ctx ->

@@ -24,15 +24,11 @@ let () =
       seed = 1994L;
     }
   in
-  let race = Tmk_check.Race.create ~nprocs ~pages:config.Config.pages () in
+  let race = Tmk_check.Race.create ~nprocs () in
   let lint = Tmk_lint.Lint.create ~nprocs () in
-  let check =
-    Tmk_check.Checker.create ~race
-      ~hooks:[ Tmk_lint.Lint.hooks lint ]
-      ~attach:[ Tmk_lint.Lint.attach lint ]
-      ()
+  let config =
+    { config with Config.check = [ Tmk_check.Race.hooks race; Tmk_lint.Lint.hooks lint ] }
   in
-  let config = { config with Config.check = Some check } in
   let result =
     Api.run config (fun ctx ->
         match Tmk_apps.Racey2.parallel ctx p with

@@ -23,29 +23,25 @@
       created diff and agree on its payload size across appliers;
     - {b I6} GC safety: no write notice received or diff applied for an
       interval at or below the receiver's knowledge at its last
-      collection. *)
+      collection.
+
+    Every check runs on every backend.  Backends without vector
+    timestamps on the wire (Tardis, SC-ABD) emit no [Interval_*] events,
+    so there I1 and I2 never fire and the knowledge compared by I3 stays
+    zero; the lock-grant pairing of I3 and I4-I6 still apply. *)
 
 type t
 
 (** [create ~nprocs ()] — fresh oracle for one run. *)
 val create : nprocs:int -> unit -> t
 
-val nprocs : t -> int
-
-(** [set_vt_checked t b] — enable or disable the vector-time invariants
-    (I1, I2, and the knowledge-coverage half of I3; on by default).
-    Coherence backends without vector timestamps on the wire
-    ([Backend.caps.c_vt_on_wire = false]: Tardis, SC-ABD) emit no
-    interval events and make knowledge comparisons vacuous, so [Api.run]
-    switches these checks off for them; the structural barrier checks
-    (I4) and diff conservation (I5) stay on for every backend. *)
-val set_vt_checked : t -> bool -> unit
-
 (** [feed t r] — consume one record in stream order. *)
 val feed : t -> Tmk_trace.Sink.record -> unit
 
-(** [attach t sink] — register [feed] as a listener for a live run. *)
-val attach : t -> Tmk_trace.Sink.t -> unit
+(** [hooks t] — the observer for a live run: [feed] as its trace
+    listener, nothing else (no access hook, so the MMU fast path stays
+    on). *)
+val hooks : t -> Hooks.t
 
 (** [finish t] — run end-of-stream checks and return all violations in
     discovery order (capped at 200, with a summary line beyond that).

@@ -10,7 +10,8 @@
 
    The segment-clock machinery (program order cut at sync operations,
    happens-before from release→acquire and barrier edges) lives in
-   [Segments]; it is shared with the lockset analyzer in [lib/lint].
+   [Segments]; the lockset analyzer in [lib/lint] uses the same module,
+   with its own instance.
 
    Accesses are checked online against a per-word frontier (the FastTrack
    idea): each 8-byte word keeps its last writer segment and at most one
@@ -19,8 +20,6 @@
    keeps the cost per access O(readers) instead of comparing interval
    pairs quadratically at barriers. *)
 
-type kind = Read | Write
-
 type segment = Segments.segment
 
 type finding = {
@@ -28,10 +27,10 @@ type finding = {
   mutable f_lo : int;  (* byte range within the page, word-granular *)
   mutable f_hi : int;
   f_first_pid : int;
-  f_first_kind : kind;
+  f_first_kind : Hooks.access_kind;
   f_first_ctx : string;
   f_second_pid : int;
-  f_second_kind : kind;
+  f_second_kind : Hooks.access_kind;
   f_second_ctx : string;
   f_hint : string;  (* the synchronization that would have ordered them *)
   mutable f_pairs : int;  (* distinct access pairs merged into this row *)
@@ -40,24 +39,19 @@ type finding = {
 type cell = { mutable c_writer : segment option; mutable c_readers : segment list }
 
 type t = {
-  nprocs : int;
-  pages : int;
   segs : Segments.t;
   suppress : int array;  (* Api.unsynchronized nesting depth *)
   words : (int, cell) Hashtbl.t;
-  races : (int * int * int * kind * kind, finding) Hashtbl.t;
+  races : (int * int * int * Hooks.access_kind * Hooks.access_kind, finding) Hashtbl.t;
   mutable npairs : int;
   mutable accesses : int;
 }
 
 let word_bytes = 8
 
-let create ~nprocs ~pages () =
+let create ~nprocs () =
   if nprocs <= 0 then invalid_arg "Race.create: nprocs must be positive";
-  if pages <= 0 then invalid_arg "Race.create: pages must be positive";
   {
-    nprocs;
-    pages;
     segs = Segments.create ~nprocs ();
     suppress = Array.make nprocs 0;
     words = Hashtbl.create 4096;
@@ -65,16 +59,6 @@ let create ~nprocs ~pages () =
     npairs = 0;
     accesses = 0;
   }
-
-let nprocs t = t.nprocs
-let pages t = t.pages
-let lock_release t ~pid ~lock = Segments.lock_release t.segs ~pid ~lock
-let lock_acquired t ~pid ~lock = Segments.lock_acquired t.segs ~pid ~lock
-let barrier_arrive t ~pid ~id = Segments.barrier_arrive t.segs ~pid ~id
-let barrier_depart t ~pid ~id = Segments.barrier_depart t.segs ~pid ~id
-
-let suppress t ~pid on =
-  t.suppress.(pid) <- (t.suppress.(pid) + if on then 1 else -1)
 
 let min_lock = function [] -> None | l :: ls -> Some (List.fold_left min l ls)
 
@@ -134,31 +118,45 @@ let note_access t ~pid kind ~addr ~width =
     for word = w0 to w1 do
       let cell = cell_of t word in
       match kind with
-      | Read ->
+      | Hooks.Read ->
         (match cell.c_writer with
         | Some ws when not (ordered ws seg) ->
-          record t word ~first:ws ~fk:Write ~second:seg ~sk:Read
+          record t word ~first:ws ~fk:Hooks.Write ~second:seg ~sk:Hooks.Read
         | _ -> ());
         (match cell.c_readers with
         | s :: _ when s == seg -> ()
         | rs ->
           cell.c_readers <- seg :: List.filter (fun s -> s.Segments.s_pid <> pid) rs)
-      | Write ->
+      | Hooks.Write ->
         (match cell.c_writer with
         | Some ws when not (ordered ws seg) ->
-          record t word ~first:ws ~fk:Write ~second:seg ~sk:Write
+          record t word ~first:ws ~fk:Hooks.Write ~second:seg ~sk:Hooks.Write
         | _ -> ());
         List.iter
           (fun rs ->
             if rs.Segments.s_pid <> pid && not (ordered rs seg) then
-              record t word ~first:rs ~fk:Read ~second:seg ~sk:Write)
+              record t word ~first:rs ~fk:Hooks.Read ~second:seg ~sk:Hooks.Write)
           cell.c_readers;
         cell.c_writer <- Some seg;
         cell.c_readers <- []
     done
   end
 
-let kind_rank = function Read -> 0 | Write -> 1
+let hooks t =
+  let segs = t.segs in
+  {
+    Hooks.h_nprocs = Segments.nprocs segs;
+    h_access = Some (note_access t);
+    h_lock_acquired = Segments.lock_acquired segs;
+    h_lock_release = Segments.lock_release segs;
+    h_barrier_arrive = Segments.barrier_arrive segs;
+    h_barrier_depart = Segments.barrier_depart segs;
+    h_suppress =
+      (fun ~pid on -> t.suppress.(pid) <- (t.suppress.(pid) + if on then 1 else -1));
+    h_listen = None;
+  }
+
+let kind_rank = function Hooks.Read -> 0 | Hooks.Write -> 1
 
 (* Canonical order, not discovery order: (page, byte range, pids, kinds).
    Discovery order is deterministic for one run but differs across
@@ -185,7 +183,7 @@ let findings t =
 
 let has_findings t = Hashtbl.length t.races > 0
 
-let kind_name = function Read -> "R" | Write -> "W"
+let kind_name = function Hooks.Read -> "R" | Hooks.Write -> "W"
 
 let report t =
   if not (has_findings t) then

@@ -23,44 +23,25 @@
 
 type t
 
-type kind = Read | Write
+(** [create ~nprocs ()] sizes the detector for one cluster; a detector
+    instance must not be shared across runs (its clocks carry over). *)
+val create : nprocs:int -> unit -> t
 
-(** [create ~nprocs ~pages ()] sizes the detector for one cluster; a
-    detector instance must not be shared across runs (its clocks carry
-    over). *)
-val create : nprocs:int -> pages:int -> unit -> t
-
-val nprocs : t -> int
-val pages : t -> int
-
-(** [note_access t ~pid kind ~addr ~width] records one load or store.
-    Called from the [Vm] access hook for every typed access. *)
-val note_access : t -> pid:int -> kind -> addr:int -> width:int -> unit
-
-(** Sync edges, reported by the protocol layer. [lock_release] must be
-    reported before the matching grant leaves the releaser; [lock_acquired]
-    after the grant (and its piggybacked intervals) is absorbed;
-    [barrier_arrive] before the arrival message is sent; [barrier_depart]
-    after the release is absorbed. *)
-val lock_release : t -> pid:int -> lock:int -> unit
-
-val lock_acquired : t -> pid:int -> lock:int -> unit
-val barrier_arrive : t -> pid:int -> id:int -> unit
-val barrier_depart : t -> pid:int -> id:int -> unit
-
-(** [suppress t ~pid on] enters/leaves an [Api.unsynchronized] span:
-    accesses made while the depth is positive are not recorded at all. *)
-val suppress : t -> pid:int -> bool -> unit
+(** [hooks t] — the observer that feeds the detector: every typed access
+    (one load or store), the four sync edges, and the
+    [Api.unsynchronized] spans, inside which accesses are not recorded at
+    all. *)
+val hooks : t -> Hooks.t
 
 type finding = {
   f_page : int;
   mutable f_lo : int;  (** byte range within the page, word-granular *)
   mutable f_hi : int;
   f_first_pid : int;
-  f_first_kind : kind;
+  f_first_kind : Hooks.access_kind;
   f_first_ctx : string;  (** sync context, e.g. "after barrier 0" *)
   f_second_pid : int;
-  f_second_kind : kind;
+  f_second_kind : Hooks.access_kind;
   f_second_ctx : string;
   f_hint : string;  (** the synchronization that would have ordered them *)
   mutable f_pairs : int;  (** access pairs merged into this finding *)
@@ -74,6 +55,9 @@ type finding = {
 val findings : t -> finding list
 
 val has_findings : t -> bool
+
+(** [kind_name k] — ["R"] or ["W"], as in the report's kind column. *)
+val kind_name : Hooks.access_kind -> string
 
 (** [report t] renders the findings as a Tablefmt table, or a one-line
     all-clear. *)

@@ -3,10 +3,10 @@
     Each processor's program order is cut into segments at every lock
     acquire/release and barrier arrive/depart; happens-before over
     segments is the transitive closure of program order plus the
-    release→acquire and all-to-all barrier sync edges.  One instance is
-    shared per run: the happens-before race detector ({!Race}) and the
-    lockset analyzer ([lib/lint]) both consult it, so "ordered" means the
-    same thing to both. *)
+    release→acquire and all-to-all barrier sync edges.  The
+    happens-before race detector ({!Race}) and the lint suite
+    ([lib/lint]) each own an instance, fed the same sync edges through
+    their observers, so "ordered" means the same thing to both. *)
 
 type segment = {
   s_pid : int;

@@ -123,24 +123,16 @@ let barrier (ctx : ctx) id = Protocol.barrier ctx.cluster ~pid:ctx.cpid ~id
 
 (* Declare an intentionally unsynchronized span (e.g. TSP's unsynchronized
    read of the global bound, §5.2: a stale value only costs extra search).
-   When a race detector is riding along, its view of the accesses made
-   inside [f] is suppressed entirely — they neither raise findings nor
-   update the read/write frontiers, so a later properly locked access is
-   not compared against them either. *)
+   Every observer in [Config.check] is told; the race detector's view of
+   the accesses made inside [f] is suppressed entirely — they neither
+   raise findings nor update the read/write frontiers, so a later
+   properly locked access is not compared against them either. *)
 let unsynchronized (ctx : ctx) f =
-  let race, hooks =
-    match (Protocol.config ctx.cluster).Config.check with
-    | Some c -> (Tmk_check.Checker.race c, Tmk_check.Checker.hooks c)
-    | None -> (None, [])
-  in
-  match (race, hooks) with
-  | None, [] -> f ()
-  | _ ->
+  match (Protocol.config ctx.cluster).Config.check with
+  | [] -> f ()
+  | observers ->
     let set on =
-      (match race with
-      | Some r -> Tmk_check.Race.suppress r ~pid:ctx.cpid on
-      | None -> ());
-      List.iter (fun h -> h.Tmk_check.Hooks.h_suppress ~pid:ctx.cpid on) hooks
+      List.iter (fun h -> h.Tmk_check.Hooks.h_suppress ~pid:ctx.cpid on) observers
     in
     set true;
     Fun.protect ~finally:(fun () -> set false) f
@@ -213,31 +205,18 @@ let run ?trace cfg app =
   let cfg =
     match trace with None -> cfg | Some sink -> { cfg with Config.trace = Some sink }
   in
-  (* The invariant oracle and any trace-attach callbacks (the lint
-     suite's event listeners) consume the typed event stream; give them a
+  (* Observers with a trace listener (the invariant oracle, the lint
+     suite's sharing analyzer) consume the typed event stream; give them a
      private sink when the caller did not ask for tracing. *)
-  let oracle, attach =
-    match cfg.Config.check with
-    | Some c -> (Tmk_check.Checker.oracle c, Tmk_check.Checker.attach c)
-    | None -> (None, [])
-  in
+  let listeners = List.filter_map (fun h -> h.Tmk_check.Hooks.h_listen) cfg.Config.check in
   let cfg =
-    match (oracle, attach, cfg.Config.trace) with
-    | Some _, _, None | _, _ :: _, None ->
-      { cfg with Config.trace = Some (Tmk_trace.Sink.create ()) }
+    match (listeners, cfg.Config.trace) with
+    | _ :: _, None -> { cfg with Config.trace = Some (Tmk_trace.Sink.create ()) }
     | _ -> cfg
   in
-  (match cfg.Config.trace with
-  | Some sink -> List.iter (fun f -> f sink) attach
-  | None -> ());
-  (match (oracle, cfg.Config.trace) with
-  | Some o, Some sink ->
-    Tmk_check.Oracle.attach o sink;
-    (* Vector-time invariants only apply to backends that put vector
-       timestamps on the wire (Tardis and SC-ABD do not). *)
-    Tmk_check.Oracle.set_vt_checked o
-      (Protocol.backend_caps cfg.Config.protocol).Backend.c_vt_on_wire
-  | _ -> ());
+  Option.iter
+    (fun sink -> List.iter (Tmk_trace.Sink.on_record sink) listeners)
+    cfg.Config.trace;
   let cluster = Protocol.create cfg in
   let engine = Protocol.engine cluster in
   let alloc_log = Hashtbl.create 64 in

@@ -137,11 +137,11 @@ val barrier : ctx -> int -> unit
     intentionally racy.  TreadMarks programs are expected to be
     data-race-free, but the paper's TSP reads the global bound without
     the lock (§5.2) because a stale bound only costs extra search; this
-    is the annotation for such algorithmic races.  When
-    [Config.check] carries a race detector, accesses inside [f] are
-    invisible to it (no findings, and no frontier updates for later
-    accesses to be compared against); without a detector this is just
-    [f ()]. *)
+    is the annotation for such algorithmic races.  Every observer in
+    [Config.check] sees the span ([h_suppress]); the race detector
+    ignores the accesses inside it (no findings, and no frontier updates
+    for later accesses to be compared against).  Without observers this
+    is just [f ()]. *)
 val unsynchronized : ctx -> (unit -> 'a) -> 'a
 
 (** {2 Collectives}

@@ -5,7 +5,6 @@ type caps = {
   c_crash_runs : bool;
   c_zero_recovery : bool;
   c_diff_backup : bool;
-  c_vt_on_wire : bool;
   c_max_procs : int;
 }
 

@@ -176,11 +176,8 @@ let rc_fault t pid kind page ~miss =
   (match kind with
   | Vm.Read -> node.Node.stats.Stats.read_faults <- node.Node.stats.Stats.read_faults + 1
   | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
-  let ekind =
-    match kind with Vm.Read -> Tmk_trace.Event.Read | Vm.Write -> Tmk_trace.Event.Write
-  in
   if Engine.tracing t.engine then
-    emit t ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
+    emit t ~pid (Tmk_trace.Event.Page_fault { page; kind });
   (match (Vm.prot node.Node.vm page, kind) with
   | Vm.Read_only, Vm.Write ->
     atomically (fun charge -> Node.write_fault_twin node page ~charge)
@@ -194,7 +191,7 @@ let rc_fault t pid kind page ~miss =
       atomically (fun charge -> Node.write_fault_twin node page ~charge)
   | (Vm.Read_only | Vm.Read_write), _ -> assert false);
   if Engine.tracing t.engine then
-    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
 
 let create cfg =
   let engine = Engine.create ~nprocs:cfg.Config.nprocs in

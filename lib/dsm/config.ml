@@ -17,7 +17,7 @@ type t = {
   sharding : bool;
   tree_arity : int;
   trace : Tmk_trace.Sink.t option;
-  check : Tmk_check.Checker.t option;
+  check : Tmk_check.Hooks.t list;
 }
 
 let default =
@@ -38,7 +38,7 @@ let default =
     sharding = false;
     tree_arity = max_int;
     trace = None;
-    check = None;
+    check = [];
   }
 
 let validate t =
@@ -73,21 +73,13 @@ let validate t =
      selected coherence backend's capabilities; Protocol.create checks
      them against [Backend.caps] (this module cannot: the backend modules
      sit above it in the dependency order). *)
-  match t.check with
-  | None -> ()
-  | Some c ->
-    (match Tmk_check.Checker.race c with
-    | Some r ->
-      if Tmk_check.Race.nprocs r <> t.nprocs then
-        invalid_arg "Config: race detector sized for a different cluster";
-      if Tmk_check.Race.pages r <> t.pages then
-        invalid_arg "Config: race detector sized for a different address space"
-    | None -> ());
-    (match Tmk_check.Checker.oracle c with
-    | Some o ->
-      if Tmk_check.Oracle.nprocs o <> t.nprocs then
-        invalid_arg "Config: invariant oracle sized for a different cluster"
-    | None -> ())
+  (* A mis-sized observer would wait for the wrong number of barrier
+     arrivals or index past its per-processor state. *)
+  List.iter
+    (fun h ->
+      if h.Tmk_check.Hooks.h_nprocs <> t.nprocs then
+        invalid_arg "Config: checker sized for a different cluster")
+    t.check
 
 let protocol_name = function
   | Lrc -> "lazy"

@@ -95,14 +95,12 @@ type t = {
           tracing entirely — no events are recorded and no run behaviour
           changes.  Install a {!Tmk_trace.Sink.t} to capture the full
           structured stream (see [lib/trace]) *)
-  check : Tmk_check.Checker.t option;
-      (** DRF / protocol checker for the run; [None] (the default)
-          checks nothing and costs nothing.  A {!Tmk_check.Race.t}
-          observes every typed access and all lock/barrier edges; a
-          {!Tmk_check.Oracle.t} is attached to the run's trace sink
-          ([Api.run] installs a private sink when none is configured).
-          Checkers are observers only — simulated time, results and
-          message traffic are identical with and without them *)
+  check : Tmk_check.Hooks.t list;
+      (** observers riding along on the run (race detector, invariant
+          oracle, lint suite — see {!Tmk_check.Hooks}); [[]] (the
+          default) checks nothing and costs nothing.  Each must be sized
+          for [nprocs].  Observers only observe — simulated time, results
+          and message traffic are identical with and without them *)
 }
 
 (** [default] — 8 processors, 256 pages, LRC on ATM/AAL3/4, GC off,

@@ -20,7 +20,6 @@ let caps =
     c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

@@ -21,7 +21,6 @@ let caps =
     c_crash_runs = true;
     c_zero_recovery = false;
     c_diff_backup = true;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

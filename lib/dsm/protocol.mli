@@ -73,9 +73,7 @@ type recovery = {
 
 (** [backend_caps protocol] — the capability sheet of the coherence
     backend [protocol] selects, without building a cluster.  Used to
-    validate configurations (crash plans, [diff_backup]) and to decide
-    which run-time checks apply (e.g. vector-timestamp invariants only
-    where [c_vt_on_wire]). *)
+    validate configurations (crash plans, [diff_backup]). *)
 val backend_caps : Config.protocol -> Backend.caps
 
 (** [create config] builds the cluster (engine, transport, nodes, the

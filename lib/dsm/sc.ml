@@ -186,11 +186,8 @@ let handle_fault t ~pid kind page =
   | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
   node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1;
   let rq_kind = match kind with Vm.Read -> Read_miss | Vm.Write -> Write_miss in
-  let ekind =
-    match kind with Vm.Read -> Tmk_trace.Event.Read | Vm.Write -> Tmk_trace.Event.Write
-  in
   if Engine.tracing t.engine then
-    Engine.emit t.engine ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
+    Engine.emit t.engine ~pid (Tmk_trace.Event.Page_fault { page; kind });
   let rq = { rq_pid = pid; rq_kind; rq_done = Engine.Ivar.create () } in
   Engine.advance Category.Tmk_other Cpu.page_request_build;
   let st = t.pstates.(page) in
@@ -200,7 +197,7 @@ let handle_fault t ~pid kind page =
      delivery costs; the application just sleeps until it fires *)
   Engine.await rq.rq_done;
   if Engine.tracing t.engine then
-    Engine.emit t.engine ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+    Engine.emit t.engine ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
 
 (* ------------------------------------------------------------------ *)
 (* Backend packaging                                                   *)
@@ -211,7 +208,6 @@ let caps =
     c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = true;
     c_max_procs = 1024;
   }
 

@@ -42,7 +42,6 @@ let caps =
     c_crash_runs = true;
     c_zero_recovery = true;
     c_diff_backup = false;
-    c_vt_on_wire = false;
     (* two-phase quorum traffic over full replicas: past 64 processors
        every word access costs hundreds of frames — reject rather than
        simulate something the design cannot mean *)

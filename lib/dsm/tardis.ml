@@ -34,7 +34,6 @@ let caps =
     c_crash_runs = false;
     c_zero_recovery = false;
     c_diff_backup = false;
-    c_vt_on_wire = false;
     c_max_procs = 1024;
   }
 
@@ -206,11 +205,8 @@ let handle_fault t ~pid kind page =
   | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
   node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1;
   let rq_kind = match kind with Vm.Read -> Read_miss | Vm.Write -> Write_miss in
-  let ekind =
-    match kind with Vm.Read -> Tmk_trace.Event.Read | Vm.Write -> Tmk_trace.Event.Write
-  in
   if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault { page; kind = ekind });
+    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault { page; kind });
   let rq =
     {
       rq_pid = pid;
@@ -227,7 +223,7 @@ let handle_fault t ~pid kind page =
     ~deliver:(fun h -> manager_handle t st rq h);
   Engine.await rq.rq_done;
   if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault_done { page; kind = ekind })
+    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization: merge the granter's clock, sweep expired leases.   *)

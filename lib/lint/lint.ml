@@ -8,9 +8,8 @@
    lockset's racy words to the discipline analyzer's unsynchronized-shadow
    check.  Wire it into a run with:
 
-     let lint = Lint.create ~nprocs () in
-     let check = Checker.create ~race ~hooks:[Lint.hooks lint]
-                   ~attach:[Lint.attach lint] () in
+     let race = Race.create ~nprocs () and lint = Lint.create ~nprocs () in
+     let cfg = { cfg with Config.check = [ Race.hooks race; Lint.hooks lint ] } in
      ... run ...
      print_string (Lint.report ~race lint) *)
 
@@ -44,6 +43,7 @@ let analyzers_of_string s =
                   other))
 
 type t = {
+  nprocs : int;
   segs : Segments.t;
   suppress : int array;
   lockset : Lockset.t option;
@@ -55,6 +55,7 @@ let create ?(analyzers = all_analyzers) ~nprocs () =
   let segs = Segments.create ~nprocs () in
   let on a = List.mem a analyzers in
   {
+    nprocs;
     segs;
     suppress = Array.make nprocs 0;
     lockset = (if on Lockset then Some (Lockset.create ~segs ()) else None);
@@ -73,21 +74,23 @@ let enabled t =
 
 let hooks t =
   {
-    Hooks.h_access =
-      (fun ~pid kind ~addr ~width ->
-        if t.suppress.(pid) = 0 then begin
-          (match t.lockset with
-          | Some ls -> Lockset.access ls ~pid kind ~addr ~width
+    Hooks.h_nprocs = t.nprocs;
+    h_access =
+      Some
+        (fun ~pid kind ~addr ~width ->
+          if t.suppress.(pid) = 0 then begin
+            (match t.lockset with
+            | Some ls -> Lockset.access ls ~pid kind ~addr ~width
+            | None -> ());
+            match t.sharing with
+            | Some sh -> Sharing.access sh ~pid kind ~addr ~width
+            | None -> ()
+          end;
+          (* The discipline analyzer filters internally: it records
+             suppressed accesses for the shadow cross-reference. *)
+          match t.discipline with
+          | Some d -> Discipline.access d ~pid kind ~addr ~width
           | None -> ());
-          match t.sharing with
-          | Some sh -> Sharing.access sh ~pid kind ~addr ~width
-          | None -> ()
-        end;
-        (* The discipline analyzer filters internally: it records
-           suppressed accesses for the shadow cross-reference. *)
-        match t.discipline with
-        | Some d -> Discipline.access d ~pid kind ~addr ~width
-        | None -> ());
     h_lock_acquired =
       (fun ~pid ~lock ->
         Segments.lock_acquired t.segs ~pid ~lock;
@@ -108,17 +111,14 @@ let hooks t =
         match t.discipline with
         | Some d -> Discipline.suppress d ~pid on
         | None -> ());
+    h_listen = Option.map Sharing.listen t.sharing;
   }
-
-let attach t sink =
-  match t.sharing with Some sh -> Sharing.listen sh sink | None -> ()
 
 (* Convert the HB detector's confirmed races into the unified model, so
    one report carries both — and so the lockset's potential races can be
    deduplicated against them. *)
-let kind_name = function Tmk_check.Race.Read -> "R" | Tmk_check.Race.Write -> "W"
-
 let of_hb (f : Tmk_check.Race.finding) =
+  let kind_name = Tmk_check.Race.kind_name in
   {
     Findings.analyzer = "hb";
     rule = "data-race";

@@ -1,19 +1,17 @@
 (** The sanitizer-suite driver: lockset race detection, sharing-pattern
     lints and sync-discipline lints over one unified findings model.
 
-    One [Lint.t] rides along on one run, observing it through the generic
-    checker hooks ({!Tmk_check.Hooks}) and the trace stream; at the end
-    the enabled analyzers' findings merge into one severity-ranked list
-    ({!Findings}), with the lockset analyzer's potential races
-    deduplicated against the happens-before detector's confirmed ones.
+    One [Lint.t] rides along on one run as an observer ({!Tmk_check.Hooks})
+    of its accesses, sync edges and trace stream; at the end the enabled
+    analyzers' findings merge into one severity-ranked list ({!Findings}),
+    with the lockset analyzer's potential races deduplicated against the
+    happens-before detector's confirmed ones.
 
     {[
+      let race = Tmk_check.Race.create ~nprocs () in
       let lint = Lint.create ~nprocs () in
-      let check =
-        Tmk_check.Checker.create ~race ~hooks:[ Lint.hooks lint ]
-          ~attach:[ Lint.attach lint ] ()
-      in
-      (* ... run with { cfg with check = Some check } ... *)
+      let check = [ Tmk_check.Race.hooks race; Lint.hooks lint ] in
+      (* ... run with { cfg with check } ... *)
       print_string (Lint.report ~race lint)
     ]} *)
 
@@ -34,12 +32,10 @@ val create : ?analyzers:analyzer list -> nprocs:int -> unit -> t
 (** [enabled t] — the analyzers this instance runs, in canonical order. *)
 val enabled : t -> analyzer list
 
-(** [hooks t] — the observer to pass to [Checker.create ~hooks]. *)
+(** [hooks t] — the observer to put in [Config.check]: the analyzers'
+    access and sync callbacks, plus the sharing analyzer's trace
+    listener when that analyzer is enabled. *)
 val hooks : t -> Tmk_check.Hooks.t
-
-(** [attach t] — the trace-attach callback for [Checker.create ~attach]
-    (the sharing analyzer's event listener). *)
-val attach : t -> Tmk_trace.Sink.t -> unit
 
 (** [findings ?race t] — every enabled analyzer's findings plus the HB
     detector's (analyzer "hb"), sorted and deduplicated.  Lockset rows

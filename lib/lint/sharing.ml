@@ -186,26 +186,25 @@ let lock_acc t lock =
     Hashtbl.add t.locks lock a;
     a
 
-let listen t sink =
-  Tmk_trace.Sink.on_record sink (fun { Tmk_trace.Sink.r_ev; _ } ->
-      match r_ev with
-      | Tmk_trace.Event.Diff_create { page; bytes; _ } ->
-        let p = trace_page t page in
-        p.tp_diffs <- p.tp_diffs + 1;
-        p.tp_diff_bytes <- p.tp_diff_bytes + bytes
-      | Tmk_trace.Event.Write_notice_recv { page; _ } ->
-        let p = trace_page t page in
-        p.tp_notices <- p.tp_notices + 1
-      | Tmk_trace.Event.Page_fault { page; kind = Tmk_trace.Event.Read } ->
-        let p = trace_page t page in
-        p.tp_read_faults <- p.tp_read_faults + 1
-      | Tmk_trace.Event.Lock_acquired { lock; _ } ->
-        let a = lock_acc t lock in
-        a.la_acquires <- a.la_acquires + 1
-      | Tmk_trace.Event.Lock_queued { lock; _ } ->
-        let a = lock_acc t lock in
-        a.la_queued <- a.la_queued + 1
-      | _ -> ())
+let listen t { Tmk_trace.Sink.r_ev; _ } =
+  match r_ev with
+  | Tmk_trace.Event.Diff_create { page; bytes; _ } ->
+    let p = trace_page t page in
+    p.tp_diffs <- p.tp_diffs + 1;
+    p.tp_diff_bytes <- p.tp_diff_bytes + bytes
+  | Tmk_trace.Event.Write_notice_recv { page; _ } ->
+    let p = trace_page t page in
+    p.tp_notices <- p.tp_notices + 1
+  | Tmk_trace.Event.Page_fault { page; kind = Tmk_trace.Event.Read } ->
+    let p = trace_page t page in
+    p.tp_read_faults <- p.tp_read_faults + 1
+  | Tmk_trace.Event.Lock_acquired { lock; _ } ->
+    let a = lock_acc t lock in
+    a.la_acquires <- a.la_acquires + 1
+  | Tmk_trace.Event.Lock_queued { lock; _ } ->
+    let a = lock_acc t lock in
+    a.la_queued <- a.la_queued + 1
+  | _ -> ()
 
 (* ---- classification and findings ---- *)
 

@@ -18,9 +18,9 @@ val create : segs:Tmk_check.Segments.t -> nprocs:int -> unit -> t
     [Api.unsynchronized] spans. *)
 val access : t -> pid:int -> Tmk_check.Hooks.access_kind -> addr:int -> width:int -> unit
 
-(** [listen t sink] registers the trace listener (diff creation, write
-    notices, page faults, lock queueing) on the run's sink. *)
-val listen : t -> Tmk_trace.Sink.t -> unit
+(** [listen t r] — the trace listener: consumes one record of the run's
+    stream (diff creation, write notices, page faults, lock queueing). *)
+val listen : t -> Tmk_trace.Sink.record -> unit
 
 type classification = {
   cl_page : int;

@@ -1,5 +1,5 @@
 type prot = No_access | Read_only | Read_write
-type access = Read | Write
+type access = Tmk_trace.Event.fault_kind = Read | Write
 
 exception Fault_loop of { page : int; kind : access }
 
@@ -53,6 +53,8 @@ let set_fault_handler t f = t.on_fault <- f
 let set_access_hook t f =
   t.on_access <- Some f;
   refresh_fast_all t
+
+let has_access_hook t = t.on_access <> None
 
 let fast_path t = t.fast_enabled
 

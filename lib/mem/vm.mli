@@ -16,8 +16,8 @@
 (** Page protection, as set by [mprotect] on the real system. *)
 type prot = No_access | Read_only | Read_write
 
-(** Kind of access that faulted. *)
-type access = Read | Write
+(** Kind of access that faulted: the trace's access kind. *)
+type access = Tmk_trace.Event.fault_kind = Read | Write
 
 type t
 
@@ -51,6 +51,10 @@ exception Fault_loop of { page : int; kind : access }
     protections.  Page-granularity operations ([page_snapshot], [patch],
     ...) are DSM-internal and do not report. *)
 val set_access_hook : t -> (access -> int -> int -> unit) -> unit
+
+(** [has_access_hook t] — whether an access hook is installed; while one
+    is, no page takes the fast path. *)
+val has_access_hook : t -> bool
 
 (** [prot t page] / [set_prot t page p] — read and change protection.
     Charging the [mprotect] cost is the caller's business. *)

@@ -44,13 +44,6 @@ let fresh_counters () = { msgs = 0; bytes = 0; retrans = 0; dups = 0 }
 
 let create ?(plan = Fault_plan.none) ?(batching = true) ~engine ~params ~prng () =
   Fault_plan.validate plan;
-  (* Params.with_loss is the legacy loss knob: fold it into the plan so
-     the two configuration paths agree. *)
-  let plan =
-    if params.Params.loss_rate > plan.Fault_plan.loss then
-      { plan with Fault_plan.loss = params.Params.loss_rate }
-    else plan
-  in
   let n = Engine.nprocs engine in
   {
     engine;

@@ -57,8 +57,7 @@ type t
 
 (** [create ~engine ~params ~prng] builds a transport over [engine]'s
     processors.  [prng] drives the fault draws.  [?plan] installs a fault
-    schedule (default {!Fault_plan.none}); a legacy [Params.with_loss]
-    rate is folded into the effective plan, whichever is larger.
+    schedule (default {!Fault_plan.none}).
 
     [?batching] (default [true]) controls how multi-part messages (the
     [?parts] argument of the send functions) reach the wire: a batching
@@ -81,8 +80,7 @@ val create :
 val engine : t -> Engine.t
 val params : t -> Params.t
 
-(** [plan t] is the effective fault plan (after folding in
-    [Params.loss_rate]). *)
+(** [plan t] is the fault plan the transport runs. *)
 val plan : t -> Fault_plan.t
 
 (** [reliable t] — true when the plan engages the ack/retransmit

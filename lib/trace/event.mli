@@ -15,7 +15,10 @@
     every layer of the system — including the simulation engine itself —
     can emit events without a dependency cycle. *)
 
-(** Kind of memory access that faulted. *)
+(** Kind of a memory access.  The one [Read | Write] type of the system:
+    [Tmk_mem.Vm.access] and [Tmk_check.Hooks.access_kind] are equations
+    over it, so a fault, a trace event and a checker observation share
+    one value. *)
 type fault_kind = Read | Write
 
 type t =

@@ -113,8 +113,8 @@ let sc_abd_crash_zero_recovery () =
 let racey_findings ~protocol =
   let app = Harness.Racey in
   let cfg = cfg_of ~app ~protocol in
-  let race = Tmk_check.Race.create ~nprocs:8 ~pages:cfg.Config.pages () in
-  let cfg = { cfg with Config.check = Some (Tmk_check.Checker.create ~race ()) } in
+  let race = Tmk_check.Race.create ~nprocs:8 () in
+  let cfg = { cfg with Config.check = [ Tmk_check.Race.hooks race ] } in
   let _ = Harness.run_cfg ~app cfg in
   (* Compare the distinct racing extents: how many times a race is
      re-observed is interleaving-dependent, which words race is not. *)

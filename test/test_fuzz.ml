@@ -92,7 +92,7 @@ let run_scenario s =
      fuzzed schedule the detector must stay silent, the protocol
      invariants must hold, and the sanitizer suite must raise no
      error-severity finding. *)
-  let race = Tmk_check.Race.create ~nprocs:s.sc_nprocs ~pages:s.sc_pages () in
+  let race = Tmk_check.Race.create ~nprocs:s.sc_nprocs () in
   let oracle = Tmk_check.Oracle.create ~nprocs:s.sc_nprocs () in
   let lint = Tmk_lint.Lint.create ~nprocs:s.sc_nprocs () in
   let cfg =
@@ -104,10 +104,7 @@ let run_scenario s =
       lrc_updates = s.sc_updates;
       seed = s.sc_seed;
       check =
-        Some
-          (Tmk_check.Checker.create ~race ~oracle
-             ~hooks:[ Tmk_lint.Lint.hooks lint ]
-             ~attach:[ Tmk_lint.Lint.attach lint ] ());
+        [ Tmk_check.Race.hooks race; Tmk_lint.Lint.hooks lint; Tmk_check.Oracle.hooks oracle ];
     }
   in
   let ok = ref true in
@@ -173,10 +170,9 @@ let fuzz_lossy =
        (fun s ->
          (* every protocol, including SC: all messages go through the
             transport's reliable one-way primitives *)
-         let cfg_net = Tmk_net.Params.with_loss Tmk_net.Params.atm_aal34 0.10 in
          let s = { s with sc_seed = Int64.add s.sc_seed 1L } in
          let expected_slots, expected_counter = expectation s in
-         let race = Tmk_check.Race.create ~nprocs:s.sc_nprocs ~pages:s.sc_pages () in
+         let race = Tmk_check.Race.create ~nprocs:s.sc_nprocs () in
          let oracle = Tmk_check.Oracle.create ~nprocs:s.sc_nprocs () in
          let cfg =
            {
@@ -186,8 +182,8 @@ let fuzz_lossy =
              protocol = s.sc_protocol;
              lrc_updates = s.sc_updates;
              seed = s.sc_seed;
-             net = cfg_net;
-             check = Some (Tmk_check.Checker.create ~race ~oracle ());
+             faults = Tmk_net.Fault_plan.(with_loss none 0.10);
+             check = [ Tmk_check.Race.hooks race; Tmk_check.Oracle.hooks oracle ];
            }
          in
          let ok = ref true in

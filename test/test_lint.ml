@@ -8,7 +8,6 @@
 
 open Tmk_dsm
 module Race = Tmk_check.Race
-module Checker = Tmk_check.Checker
 module Hooks = Tmk_check.Hooks
 module Findings = Tmk_lint.Findings
 module Sharing = Tmk_lint.Sharing
@@ -24,9 +23,10 @@ let contains ~affix s =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Lockset automaton units, driven through the Lint hooks (the same
-   entry point the protocol uses) with a Race instance fed the identical
-   history, so each test also states what happens-before would say.      *)
+(* Lockset automaton units, driven through the observers (the same entry
+   point the protocol uses) of a Lint and a Race instance fed the
+   identical history, so each test also states what happens-before would
+   say.                                                                   *)
 
 type op =
   | A of int * Hooks.access_kind * int  (* pid, kind, addr (width 8) *)
@@ -35,30 +35,23 @@ type op =
   | B of int  (* barrier: all procs arrive then depart *)
 
 let drive ~nprocs ops =
-  let race = Race.create ~nprocs ~pages:16 () in
+  let race = Race.create ~nprocs () in
   let lint = Lint.create ~nprocs () in
-  let h = Lint.hooks lint in
+  let observers = [ Race.hooks race; Lint.hooks lint ] in
+  let each f = List.iter f observers in
   List.iter
     (fun op ->
       match op with
       | A (pid, kind, addr) ->
-        let rk = match kind with Hooks.Read -> Race.Read | Hooks.Write -> Race.Write in
-        Race.note_access race ~pid rk ~addr ~width:8;
-        h.Hooks.h_access ~pid kind ~addr ~width:8
-      | L (pid, lock) ->
-        Race.lock_acquired race ~pid ~lock;
-        h.Hooks.h_lock_acquired ~pid ~lock
-      | U (pid, lock) ->
-        Race.lock_release race ~pid ~lock;
-        h.Hooks.h_lock_release ~pid ~lock
+        each (fun h -> Option.get h.Hooks.h_access ~pid kind ~addr ~width:8)
+      | L (pid, lock) -> each (fun h -> h.Hooks.h_lock_acquired ~pid ~lock)
+      | U (pid, lock) -> each (fun h -> h.Hooks.h_lock_release ~pid ~lock)
       | B id ->
         for pid = 0 to nprocs - 1 do
-          Race.barrier_arrive race ~pid ~id;
-          h.Hooks.h_barrier_arrive ~pid ~id
+          each (fun h -> h.Hooks.h_barrier_arrive ~pid ~id)
         done;
         for pid = 0 to nprocs - 1 do
-          Race.barrier_depart race ~pid ~id;
-          h.Hooks.h_barrier_depart ~pid ~id
+          each (fun h -> h.Hooks.h_barrier_depart ~pid ~id)
         done)
     ops;
   (race, lint)
@@ -370,7 +363,7 @@ let analyzers_of_string () =
 (* End-to-end: full runs with the suite attached via the checker.       *)
 
 let lint_run ?(nprocs = 8) ?(protocol = Config.Lrc) ~pages body =
-  let race = Race.create ~nprocs ~pages () in
+  let race = Race.create ~nprocs () in
   let lint = Lint.create ~nprocs () in
   let cfg =
     {
@@ -379,10 +372,7 @@ let lint_run ?(nprocs = 8) ?(protocol = Config.Lrc) ~pages body =
       pages;
       seed = 3L;
       protocol;
-      check =
-        Some
-          (Checker.create ~race ~hooks:[ Lint.hooks lint ]
-             ~attach:[ Lint.attach lint ] ());
+      check = [ Race.hooks race; Lint.hooks lint ];
     }
   in
   let _ = Api.run cfg body in

@@ -150,9 +150,10 @@ let handler_chained_send () =
   Engine.run engine;
   check Alcotest.int "three messages" 3 (Transport.messages_sent tr)
 
+let lossy = Fault_plan.(with_loss none 0.4)
+
 let lossy_rpc_retransmits () =
-  let params = Params.with_loss Params.atm_aal34 0.4 in
-  let engine, tr = make_cluster ~params ~seed:7L () in
+  let engine, tr = make_cluster ~plan:lossy ~seed:7L () in
   let served = ref 0 in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
@@ -172,8 +173,7 @@ let lossy_rpc_retransmits () =
   check Alcotest.bool "retransmissions occurred" true (Transport.retransmissions tr > 0)
 
 let lossy_oneway_delivers_once () =
-  let params = Params.with_loss Params.atm_aal34 0.4 in
-  let engine, tr = make_cluster ~params ~seed:11L () in
+  let engine, tr = make_cluster ~plan:lossy ~seed:11L () in
   let delivered = ref 0 in
   let mb = Transport.mailbox () in
   Engine.spawn engine 1 (fun () -> ());
@@ -219,9 +219,6 @@ let params_validation () =
   Alcotest.check_raises "ethernet aal34"
     (Invalid_argument "Params.of_names: AAL3/4 requires the ATM LAN") (fun () ->
       ignore (Params.of_names ~network:Params.Ethernet ~protocol:Params.Aal34));
-  Alcotest.check_raises "bad loss"
-    (Invalid_argument "Params.with_loss: rate in [0,1)") (fun () ->
-      ignore (Params.with_loss Params.atm_aal34 1.5));
   check Alcotest.string "name" "ATM-AAL3/4" (Params.name Params.atm_aal34);
   check Alcotest.string "name" "Ethernet-UDP" (Params.name Params.ethernet_udp)
 

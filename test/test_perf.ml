@@ -102,8 +102,8 @@ let fast_path_equivalence app () =
 let checked_fingerprint ~fast =
   let app = Harness.Racey in
   let cfg = cfg_of ~app ~nprocs:8 ~fast in
-  let race = Tmk_check.Race.create ~nprocs:8 ~pages:cfg.Config.pages () in
-  let cfg = { cfg with Config.check = Some (Tmk_check.Checker.create ~race ()) } in
+  let race = Tmk_check.Race.create ~nprocs:8 () in
+  let cfg = { cfg with Config.check = [ Tmk_check.Race.hooks race ] } in
   let fp = fingerprint ~app cfg in
   (fp, Tmk_check.Race.report race)
 
@@ -128,6 +128,22 @@ let hook_sees_every_access () =
   check Alcotest.bool "every access observed" true
     (List.rev !seen
     = [ (Vm.Write, 0, 8); (Vm.Read, 0, 8); (Vm.Write, 4096, 1); (Vm.Read, 4096, 1) ])
+
+(* Only an observer that watches accesses installs the Vm access hook: a
+   run carrying just the invariant oracle (a trace listener) keeps every
+   node on the fast path; the race detector turns the hook on. *)
+let access_hook_only_for_access_observers () =
+  let hooked check =
+    let cl = Protocol.create { Config.default with Config.nprocs = 4; pages = 4; check } in
+    List.init 4 (fun pid -> Vm.has_access_hook (Protocol.node cl pid).Node.vm)
+  in
+  let all b = List.init 4 (fun _ -> b) in
+  let bools = Alcotest.(list bool) in
+  check bools "no observer" (all false) (hooked []);
+  check bools "oracle only" (all false)
+    (hooked [ Tmk_check.Oracle.hooks (Tmk_check.Oracle.create ~nprocs:4 ()) ]);
+  check bools "race detector" (all true)
+    (hooked [ Tmk_check.Race.hooks (Tmk_check.Race.create ~nprocs:4 ()) ])
 
 (* Fast-path semantics: out-of-range and straddling accesses must keep
    raising exactly as the checked path does. *)
@@ -167,17 +183,10 @@ let parallel_map_equivalence () =
 
 let lint_report_of (app, nprocs) =
   let cfg = cfg_of ~app ~nprocs ~fast:true in
-  let race = Tmk_check.Race.create ~nprocs ~pages:cfg.Config.pages () in
+  let race = Tmk_check.Race.create ~nprocs () in
   let lint = Tmk_lint.Lint.create ~nprocs () in
   let cfg =
-    {
-      cfg with
-      Config.check =
-        Some
-          (Tmk_check.Checker.create ~race
-             ~hooks:[ Tmk_lint.Lint.hooks lint ]
-             ~attach:[ Tmk_lint.Lint.attach lint ] ());
-    }
+    { cfg with Config.check = [ Tmk_check.Race.hooks race; Tmk_lint.Lint.hooks lint ] }
   in
   let _ = Harness.run_checked ~app cfg in
   let fs = Tmk_lint.Lint.findings ~race lint in
@@ -271,3 +280,7 @@ let suite =
           (Printf.sprintf "replay set pinned: %s at 16 procs" (Harness.app_name app))
           `Slow (replay_golden app expected))
       replay_goldens
+  @ [
+      Alcotest.test_case "oracle-only run keeps the fast path" `Quick
+        access_hook_only_for_access_observers;
+    ]

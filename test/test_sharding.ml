@@ -188,7 +188,7 @@ let oracle_clean_on_tree_run () =
       seed = 99L;
       sharding = true;
       tree_arity = 4;
-      check = Some (Tmk_check.Checker.create ~oracle ());
+      check = [ Tmk_check.Oracle.hooks oracle ];
     }
   in
   let _ = Api.run cfg (fun ctx -> ignore (Tmk_apps.Jacobi.parallel ctx p)) in
@@ -237,6 +237,17 @@ let rejects_invalid_configs () =
        { Config.default with Config.nprocs = 4; pages = 4; tree_arity = 3; faults = crash });
   expect_invalid "sc-abd beyond its 64-processor ceiling"
     { Config.default with Config.nprocs = 128; pages = 4; protocol = Config.Sc_abd };
+  (* an observer built for another cluster size would wait for the wrong
+     number of barrier arrivals *)
+  List.iter
+    (fun (name, observer) ->
+      expect_invalid (name ^ " sized for 4 processors on 8")
+        { Config.default with Config.nprocs = 8; pages = 4; check = [ observer ] })
+    [
+      ("race detector", Tmk_check.Race.hooks (Tmk_check.Race.create ~nprocs:4 ()));
+      ("invariant oracle", Tmk_check.Oracle.hooks (Tmk_check.Oracle.create ~nprocs:4 ()));
+      ("lint suite", Tmk_lint.Lint.hooks (Tmk_lint.Lint.create ~nprocs:4 ()));
+    ];
   (* and the ceilings admit what they claim to *)
   ignore
     (Protocol.create
