@@ -137,7 +137,7 @@ let lookup_diff_anywhere cl ~proc ~interval_id ~page =
       let found =
         List.find_opt
           (fun wn -> wn.Node.wn_interval.Node.iv_id = interval_id && wn.Node.wn_diff <> None)
-          pn.Node.pages.(page).Node.pg_notices.(proc)
+          (Node.notices pn.Node.pages.(page) proc)
       in
       match found with
       | Some wn -> wn.Node.wn_diff

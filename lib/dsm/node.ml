@@ -23,9 +23,20 @@ and interval = {
   mutable iv_notices : write_notice list;
 }
 
+(* The processors holding notices for one page, in decreasing processor
+   order, [procs.(i)]'s newest-first list in [lists.(i)].  Only the first
+   [writers] slots are live; the arrays grow by doubling when a new
+   writer appears, so a push for a known writer allocates just its cons
+   cell. *)
+type notice_index = {
+  mutable procs : int array;
+  mutable lists : write_notice list array;
+  mutable writers : int;
+}
+
 type page_entry = {
   mutable pg_copyset : Bitset.t;
-  pg_notices : write_notice list array;
+  pg_notices : notice_index;
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;
   mutable pg_fetched : bool;
@@ -82,7 +93,7 @@ let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
     Bitset.add copyset 0;
     {
       pg_copyset = copyset;
-      pg_notices = Array.make nprocs [];
+      pg_notices = { procs = [||]; lists = [||]; writers = 0 };
       pg_twin = None;
       pg_has_copy = pid = 0;
       pg_fetched = false;
@@ -110,6 +121,51 @@ let create ?emit ?(vm_fast_path = true) ~pid ~nprocs ~pages () =
     stats = Stats.create ();
     emit;
   }
+
+(* Slot of [proc] in [ix], or [-1 - i] when [proc] has no slot and [i] is
+   where it would go. *)
+let writer_slot ix proc =
+  let rec search lo hi =
+    if lo >= hi then -1 - lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      let p = ix.procs.(mid) in
+      if p = proc then mid else if p > proc then search (mid + 1) hi else search lo mid
+  in
+  search 0 ix.writers
+
+let notices entry proc =
+  let ix = entry.pg_notices in
+  let i = writer_slot ix proc in
+  if i < 0 then [] else ix.lists.(i)
+
+let iter_writers entry f =
+  let ix = entry.pg_notices in
+  for i = 0 to ix.writers - 1 do
+    f ix.procs.(i) ix.lists.(i)
+  done
+
+(* Prepend [wn] to [proc]'s list for the page. *)
+let push_notice entry proc wn =
+  let ix = entry.pg_notices in
+  let i = writer_slot ix proc in
+  if i >= 0 then ix.lists.(i) <- wn :: ix.lists.(i)
+  else begin
+    let at = -1 - i and n = ix.writers in
+    if n = Array.length ix.procs then begin
+      let cap = max 1 (2 * n) in
+      let procs = Array.make cap 0 and lists = Array.make cap [] in
+      Array.blit ix.procs 0 procs 0 n;
+      Array.blit ix.lists 0 lists 0 n;
+      ix.procs <- procs;
+      ix.lists <- lists
+    end;
+    Array.blit ix.procs at ix.procs (at + 1) (n - at);
+    Array.blit ix.lists at ix.lists (at + 1) (n - at);
+    ix.procs.(at) <- proc;
+    ix.lists.(at) <- [ wn ];
+    ix.writers <- n + 1
+  end
 
 let set_diff_hook t f = t.on_diff_create <- Some f
 let store_backup t ~proc ~interval_id ~page diff =
@@ -186,7 +242,7 @@ let rec close_interval ?(eager_diffs = false) t ~charge =
     let add_notice page =
       let wn = { wn_page = page; wn_interval = iv; wn_diff = None; wn_applied = true } in
       iv.iv_notices <- wn :: iv.iv_notices;
-      t.pages.(page).pg_notices.(t.pid) <- wn :: t.pages.(page).pg_notices.(t.pid);
+      push_notice t.pages.(page) t.pid wn;
       t.live_records <- t.live_records + 1
     in
     List.iter add_notice dirty;
@@ -214,7 +270,7 @@ and make_diff_now t page ~charge =
   match entry.pg_twin with
   | None -> ()
   | Some twin ->
-    (match entry.pg_notices.(t.pid) with
+    (match notices entry t.pid with
     | wn :: _ when wn.wn_diff = None -> ()
     | _ -> close_interval t ~charge);
     charge Category.Tmk_mem (Costs.diff_create Vm.page_size);
@@ -224,7 +280,7 @@ and make_diff_now t page ~charge =
     t.stats.Stats.diff_bytes_created <-
       t.stats.Stats.diff_bytes_created + Rle.encoded_size diff;
     t.live_records <- t.live_records + 1;
-    (match entry.pg_notices.(t.pid) with
+    (match notices entry t.pid with
     | wn :: _ when wn.wn_diff = None ->
       wn.wn_diff <- Some diff;
       if tracing t then
@@ -266,14 +322,14 @@ let find_notice t ~proc ~interval_id ~page =
     | wn :: _ when wn.wn_interval.iv_id = interval_id -> wn
     | _ -> raise Not_found
   in
-  find t.pages.(page).pg_notices.(proc)
+  find (notices t.pages.(page) proc)
 
 let find_diff t ~proc ~interval_id ~page ~charge =
   (if proc = t.pid then
      (* Our own diff may not exist yet: this is the lazy-creation point
         for a diff request from another processor (§3.2). *)
      let entry = t.pages.(page) in
-     match entry.pg_notices.(t.pid) with
+     match notices entry t.pid with
      | wn :: _ when wn.wn_diff = None && wn.wn_interval.iv_id = interval_id ->
        ensure_own_diff t page ~charge
      | _ -> ());
@@ -304,21 +360,16 @@ let missing_diffs t page =
   (* Scan the whole notice list: with piggybacked diffs (hybrid update
      protocol) a newer notice can hold its diff while an older one still
      lacks one, so the diff-less notices are not necessarily a prefix. *)
-  let entry = t.pages.(page) in
   let groups = ref [] in
-  for q = t.nprocs - 1 downto 0 do
-    match filter_onto lacks_diff [] entry.pg_notices.(q) with
-    | [] -> ()
-    | l -> groups := (q, l) :: !groups (* newest-first, like the source list *)
-  done;
+  iter_writers t.pages.(page) (fun q l ->
+      match filter_onto lacks_diff [] l with
+      | [] -> ()
+      | l -> groups := (q, l) :: !groups (* newest-first, like the source list *));
   !groups
 
 let unapplied_diffs t page =
-  let entry = t.pages.(page) in
   let acc = ref [] in
-  for q = t.nprocs - 1 downto 0 do
-    acc := filter_onto pending !acc entry.pg_notices.(q)
-  done;
+  iter_writers t.pages.(page) (fun _ l -> acc := filter_onto pending !acc l);
   !acc
 
 let store_diff t ~proc ~interval_id ~page diff =
@@ -360,9 +411,7 @@ let apply_missing_diffs t page notices ~charge =
          is a total order *)
       let lo = List.fold_left min_stamp first.wn_interval.iv_vt rest in
       let acc = ref [] in
-      for q = t.nprocs - 1 downto 0 do
-        acc := replay_prefix lo notices !acc t.pages.(page).pg_notices.(q)
-      done;
+      iter_writers t.pages.(page) (fun _ l -> acc := replay_prefix lo notices !acc l);
       !acc
   in
   let ordered =
@@ -429,8 +478,7 @@ let incorporate t intervals ~charge =
         charge Category.Tmk_consistency Cpu.incorporate_per_notice;
         let wn = { wn_page = page; wn_interval = iv; wn_diff = diff; wn_applied = false } in
         iv.iv_notices <- wn :: iv.iv_notices;
-        t.pages.(page).pg_notices.(mi.mi_proc) <-
-          wn :: t.pages.(page).pg_notices.(mi.mi_proc);
+        push_notice t.pages.(page) mi.mi_proc wn;
         t.live_records <- t.live_records + (if diff = None then 1 else 2);
         t.stats.Stats.write_notices_in <- t.stats.Stats.write_notices_in + 1;
         if tracing t then
@@ -493,7 +541,9 @@ let discard_all_records t ~charge =
   done;
   Array.iter
     (fun entry ->
-      Array.fill entry.pg_notices 0 t.nprocs [];
+      let ix = entry.pg_notices in
+      Array.fill ix.lists 0 ix.writers [];
+      ix.writers <- 0;
       entry.pg_twin <- None;
       (* the gather blacklist describes diffs that no longer exist *)
       entry.pg_no_gather <- false)
@@ -510,7 +560,7 @@ let modified_pages t =
   let result = ref [] in
   Array.iteri
     (fun page entry ->
-      if entry.pg_twin <> None || entry.pg_notices.(t.pid) <> [] then
+      if entry.pg_twin <> None || notices entry t.pid <> [] then
         result := page :: !result)
     t.pages;
   List.rev !result

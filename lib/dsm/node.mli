@@ -38,18 +38,24 @@ and interval = {
   mutable iv_notices : write_notice list;
 }
 
+(** A page's write-notice lists, indexed sparsely by processor: only the
+    processors that have notices for the page take space, so the index
+    grows with the page's writers rather than with the cluster.  Read it
+    through {!notices} and {!iter_writers}.
+
+    Each processor's list is newest first: interval indices strictly
+    decrease along it, and so do the timestamps under
+    {!Vector_time.compare_total} (a processor's later interval dominates
+    its earlier ones).  Only {!close_interval} and {!incorporate} add
+    notices, both by prepending, and [incorporate] skips intervals
+    already covered.  {!apply_missing_diffs} and {!find_diff} rely on
+    this order to stop their walks early. *)
+type notice_index
+
 (** PageArray entry. *)
 type page_entry = {
   mutable pg_copyset : Tmk_util.Bitset.t;  (** processors believed to cache the page *)
-  pg_notices : write_notice list array;
-      (** per processor, newest first: interval indices strictly decrease
-          along each list, and so do the timestamps under
-          {!Vector_time.compare_total} (a processor's later interval
-          dominates its earlier ones).  Only {!close_interval} and
-          {!incorporate} add notices, both by prepending, and
-          [incorporate] skips intervals already covered.
-          {!apply_missing_diffs} and {!find_diff} rely on this order to
-          stop their walks early. *)
+  pg_notices : notice_index;  (** per-processor write notices, see {!notice_index} *)
   mutable pg_twin : Bytes.t option;
   mutable pg_has_copy : bool;  (** false until a copy has been fetched (or initially held) *)
   mutable pg_fetched : bool;
@@ -97,6 +103,15 @@ type t = {
   emit : (Tmk_trace.Event.t -> unit) option;
       (** typed-trace hook; [None] disables emission entirely *)
 }
+
+(** [notices entry proc] — [proc]'s write notices for the page, newest
+    first ([[]] when it has none). *)
+val notices : page_entry -> int -> write_notice list
+
+(** [iter_writers entry f] calls [f proc list] for every processor with
+    notices for the page, in strictly decreasing processor order; each
+    [list] is that processor's non-empty newest-first list. *)
+val iter_writers : page_entry -> (int -> write_notice list -> unit) -> unit
 
 (** [create ?emit ~pid ~nprocs ~pages ()] — initial state: processor 0
     holds every page [Read_only] (it is the initial copyset), everyone
@@ -213,7 +228,7 @@ val store_diff : t -> proc:int -> interval_id:int -> page:int -> Tmk_util.Rle.t 
     vector-timestamp order and validate the page ([Read_only]).  Every
     other held diff stamped above the oldest of [notices] is re-applied
     in the same order; these form a prefix of each notice list (see
-    [pg_notices]), so the cost follows the replay, not the page's
+    {!notice_index}), so the cost follows the replay, not the page's
     history. *)
 val apply_missing_diffs : t -> int -> write_notice list -> charge:charge -> unit
 

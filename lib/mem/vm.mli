@@ -1,13 +1,17 @@
 (** Software MMU: a paged address space with per-page protection.
 
     Substitutes for the [mmap]/[mprotect]/SIGSEGV machinery the real
-    TreadMarks uses (§3.7).  Shared memory is a flat byte buffer split into
-    4096-byte pages, each in one of three states mirroring the hardware
-    protections.  Every typed accessor checks the page's protection and, on
-    a violation, invokes the registered fault handler — the analogue of the
-    SIGSEGV handler — then retries the access.  The fault handler runs in
-    the faulting process's context and may block (e.g. to fetch diffs from
-    other processors) and change protections before returning.
+    TreadMarks uses (§3.7).  Shared memory is split into 4096-byte pages,
+    each in one of three states mirroring the hardware protections.  Page
+    frames are allocated on demand: a page that has never been written,
+    installed or patched reads as zeros from one shared, immutable zero
+    frame, so an address space costs memory only for the pages its
+    processor has touched.  Every typed accessor checks the page's
+    protection and, on a violation, invokes the registered fault handler —
+    the analogue of the SIGSEGV handler — then retries the access.  The
+    fault handler runs in the faulting process's context and may block
+    (e.g. to fetch diffs from other processors) and change protections
+    before returning.
 
     The accessors themselves model ordinary user-mode loads and stores and
     charge no simulated time; only the protocol activity that faults
@@ -24,12 +28,14 @@ type t
 (** [page_size] is 4096 bytes, the DECstation's virtual-memory page. *)
 val page_size : int
 
-(** [create ~pages] makes an address space of [pages] pages, zero-filled,
-    all [Read_write] (the DSM sets initial protections itself), with a
-    fault handler that raises.  [fast_path] (default [true]) lets the
-    typed accessors skip the protection check on pages where it cannot
-    fault — see {!set_fast_path}; pass [false] to force every access
-    through the checked path. *)
+(** [create ~pages] makes an address space of [pages] pages that reads as
+    zero-filled (no page owns a frame yet; each gets one at its first
+    write, {!install_page} or {!patch}), all [Read_write] (the DSM sets
+    initial protections itself), with a fault handler that raises.
+    [fast_path] (default [true]) lets the typed accessors skip the
+    protection check on pages where it cannot fault — see
+    {!set_fast_path}; pass [false] to force every access through the
+    checked path. *)
 val create : ?fast_path:bool -> pages:int -> unit -> t
 
 (** [npages t] / [size_bytes t] — capacity. *)
@@ -65,17 +71,23 @@ val set_prot : t -> int -> prot -> unit
 (** {2 Fast path}
 
     The typed accessors keep a per-page "unchecked OK" bitmap: a page's
-    bit is set exactly when it is [Read_write], no access hook is
-    installed, and the fast path is enabled.  An access wholly inside such
-    a page cannot fault and has no observer, so it reads or writes the
-    backing buffer directly, skipping the protection check and hook
-    dispatch.  All other accesses — including out-of-range and straddling
-    ones — take the checked path and behave exactly as before.  The bitmap
-    is maintained by [set_prot], [set_access_hook], and [set_fast_path];
-    results are bit-identical with the fast path on or off. *)
+    bit is set exactly when it is [Read_write], owns its frame, no access
+    hook is installed, and the fast path is enabled.  An access wholly
+    inside such a page cannot fault, has no observer and cannot land in
+    the shared zero frame, so it reads or writes the page's frame
+    directly, skipping the protection check and hook dispatch.  All other
+    accesses — including out-of-range and straddling ones, and every
+    access to a page still on the zero frame — take the checked path and
+    behave exactly as before.  The bitmap is maintained by [set_prot],
+    [set_access_hook], [set_fast_path] and frame allocation; results are
+    bit-identical with the fast path on or off. *)
 
 (** [fast_path t] — whether the fast path is enabled. *)
 val fast_path : t -> bool
+
+(** [fast_page t page] — whether [page]'s bit is set, i.e. whether an
+    access wholly inside it takes the fast path right now. *)
+val fast_page : t -> int -> bool
 
 (** [set_fast_path t enabled] — enable or disable the fast path (e.g. to
     measure its effect); contents and semantics are unaffected. *)
@@ -111,14 +123,17 @@ val write_f64 : t -> int -> float -> unit
     protection (the DSM manipulates pages it has deliberately protected),
     like kernel-assisted copies in the real system. *)
 
-(** [page_snapshot t page] is a fresh copy of the page's 4096 bytes. *)
+(** [page_snapshot t page] is a fresh copy of the page's 4096 bytes, even
+    for a page that has no frame of its own (writing the copy never
+    changes what any page reads). *)
 val page_snapshot : t -> int -> Bytes.t
 
-(** [install_page t page bytes] overwrites the page's contents. *)
+(** [install_page t page bytes] overwrites the page's contents (copying
+    [bytes]), giving the page its own frame. *)
 val install_page : t -> int -> Bytes.t -> unit
 
 (** [patch t page rle] applies a diff to the page in place, bypassing
-    protection. *)
+    protection; the page gets its own frame first. *)
 val patch : t -> int -> Tmk_util.Rle.t -> unit
 
 (** [diff_against t page ~twin] is the runlength encoding of the page's

@@ -64,14 +64,14 @@ let incorporate_invalidates () =
     ~charge:no_charge;
   check Alcotest.bool "page invalidated" true (Vm.prot n.Node.vm 2 = Vm.No_access);
   check Alcotest.int "vt tracks" 1 (Vector_time.get n.Node.vt 1);
-  check Alcotest.int "notice recorded" 1 (List.length n.Node.pages.(2).Node.pg_notices.(1))
+  check Alcotest.int "notice recorded" 1 (List.length (Node.notices n.Node.pages.(2) 1))
 
 let incorporate_skips_duplicates () =
   let n = make_node ~pid:0 () in
   let mi = msg_interval ~proc:1 ~id:1 ~vt:[ 0; 1; 0; 0 ] ~pages:[ 2 ] () in
   Node.incorporate n [ mi ] ~charge:no_charge;
   Node.incorporate n [ mi ] ~charge:no_charge;
-  check Alcotest.int "one record only" 1 (List.length n.Node.pages.(2).Node.pg_notices.(1));
+  check Alcotest.int "one record only" 1 (List.length (Node.notices n.Node.pages.(2) 1));
   check Alcotest.int "one interval only" 1 (List.length n.Node.intervals.(1))
 
 let incorporate_saves_local_twin () =
@@ -173,13 +173,13 @@ let apply_replays_newer_diffs () =
      applied; then the older one arrives *)
   Node.store_diff n ~proc:2 ~interval_id:1 ~page:0 (diff_of 222);
   let newer =
-    match n.Node.pages.(0).Node.pg_notices.(2) with [ wn ] -> wn | _ -> assert false
+    match Node.notices n.Node.pages.(0) 2 with [ wn ] -> wn | _ -> assert false
   in
   Node.apply_missing_diffs n 0 [ newer ] ~charge:no_charge;
   check Alcotest.int "newer applied" 222 (Vm.read_int n.Node.vm 0);
   Node.store_diff n ~proc:1 ~interval_id:1 ~page:0 (diff_of 111);
   let older =
-    match n.Node.pages.(0).Node.pg_notices.(1) with [ wn ] -> wn | _ -> assert false
+    match Node.notices n.Node.pages.(0) 1 with [ wn ] -> wn | _ -> assert false
   in
   Node.apply_missing_diffs n 0 [ older ] ~charge:no_charge;
   (* without replay this would regress to 111 *)
@@ -240,7 +240,7 @@ let reference_replay node page notices =
     && List.exists (fun m -> reference_compare (stamp m) (stamp wn) < 0) notices
   in
   List.concat_map
-    (fun q -> List.filter needs_replay node.Node.pages.(page).Node.pg_notices.(q))
+    (fun q -> List.filter needs_replay (Node.notices node.Node.pages.(page) q))
     (List.init node.Node.nprocs Fun.id)
 
 type op =
@@ -294,8 +294,8 @@ let empty_diff = Tmk_util.Rle.of_runs []
 let notice_lists_descend node =
   Array.for_all
     (fun entry ->
-      Array.for_all
-        (fun l ->
+      List.for_all
+        (fun q ->
           let rec desc = function
             | a :: (b :: _ as rest) ->
               a.Node.wn_interval.Node.iv_id > b.Node.wn_interval.Node.iv_id
@@ -303,8 +303,8 @@ let notice_lists_descend node =
               && desc rest
             | _ -> true
           in
-          desc l)
-        entry.Node.pg_notices)
+          desc (Node.notices entry q))
+        (List.init node.Node.nprocs Fun.id))
     node.Node.pages
 
 let run_replay_history ops =
@@ -317,7 +317,9 @@ let run_replay_history ops =
   let n = Node.create ~emit ~pid:0 ~nprocs:replay_nprocs ~pages:replay_pages () in
   (* each remote processor's knowledge of the cluster's intervals *)
   let known = Array.init replay_nprocs (fun _ -> Array.make replay_nprocs 0) in
-  let notices_of page = List.concat (Array.to_list n.Node.pages.(page).Node.pg_notices) in
+  let notices_of page =
+    List.concat_map (Node.notices n.Node.pages.(page)) (List.init replay_nprocs Fun.id)
+  in
   let step = function
     | Local pages ->
       List.iter (fun p -> write n p ~offset:(8 * p) 1) pages;
@@ -395,6 +397,142 @@ let find_notice_stops_early () =
           Node.store_diff n ~proc:1 ~interval_id:id ~page:2 empty_diff))
     [ 1; 3; 5 ]
 
+(* ------------------------------------------------------------------ *)
+(* Sparse notice index.  Over random histories of local intervals,
+   incorporated remote intervals (duplicates included) and GC sweeps, the
+   index must answer exactly like a dense per-page, per-processor array
+   of lists.  The reference is rebuilt from the interval records (the
+   ProcArray), not from the index: every notice of a new interval is
+   prepended to its (page, processor) cell, oldest interval first. *)
+
+type index_op =
+  | Close of int list  (** the node writes these pages and closes an interval *)
+  | Recv of int * int list  (** processor [q] sends an interval naming these pages *)
+  | Resend of int  (** re-deliver the k-th interval sent so far (a duplicate) *)
+  | Sweep  (** GC: discard every record *)
+
+let index_nprocs = 7
+let index_pid = 3
+let index_pages = 3
+
+let show_pages pages = String.concat ";" (List.map string_of_int pages)
+
+let show_index_op = function
+  | Close pages -> Printf.sprintf "Close [%s]" (show_pages pages)
+  | Recv (q, pages) -> Printf.sprintf "Recv (%d, [%s])" q (show_pages pages)
+  | Resend k -> Printf.sprintf "Resend %d" k
+  | Sweep -> "Sweep"
+
+let index_ops_gen =
+  let open QCheck.Gen in
+  let page = int_range 0 (index_pages - 1) in
+  let pages = map (List.sort_uniq Int.compare) (list_size (int_range 1 3) page) in
+  (* any processor but the node itself *)
+  let remote =
+    map (fun q -> if q >= index_pid then q + 1 else q) (int_range 0 (index_nprocs - 2))
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun ps -> Close ps) pages);
+        (6, map2 (fun q ps -> Recv (q, ps)) remote pages);
+        (1, map (fun k -> Resend k) (int_range 0 50));
+        (1, return Sweep);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_index_op ops))
+    (list_size (int_range 1 60) op)
+
+let index_procs = List.init index_nprocs Fun.id
+let same_list a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+(* [Node.notices] answers like the dense cell for every processor, and
+   the writer walk yields the non-empty cells in decreasing processor
+   order. *)
+let index_agrees entry cells =
+  let walked = ref [] in
+  Node.iter_writers entry (fun q l -> walked := (q, l) :: !walked);
+  let expected =
+    List.filter_map (fun q -> if cells.(q) = [] then None else Some (q, cells.(q))) index_procs
+  in
+  List.for_all (fun q -> same_list (Node.notices entry q) cells.(q)) index_procs
+  && List.length !walked = List.length expected
+  (* [walked] was built by prepending, so it is in increasing order now *)
+  && List.for_all2 (fun (q, l) (q', l') -> q = q' && same_list l l') !walked expected
+
+let run_index_history ops =
+  let n = Node.create ~pid:index_pid ~nprocs:index_nprocs ~pages:index_pages () in
+  let dense = Array.init index_pages (fun _ -> Array.make index_nprocs []) in
+  let sent = ref [] and next_id = Array.make index_nprocs 0 in
+  (* mirror every interval record that appeared since [before] *)
+  let mirror before =
+    Array.iteri
+      (fun q ivs ->
+        let rec fresh acc = function
+          | l when l == before.(q) -> acc
+          | iv :: rest -> fresh (iv :: acc) rest
+          | [] -> acc
+        in
+        List.iter
+          (fun iv ->
+            List.iter
+              (fun wn -> dense.(wn.Node.wn_page).(q) <- wn :: dense.(wn.Node.wn_page).(q))
+              iv.Node.iv_notices)
+          (fresh [] ivs))
+      n.Node.intervals
+  in
+  let step op =
+    let before = Array.copy n.Node.intervals in
+    (match op with
+    | Close pages ->
+      List.iter (fun p -> write n p ~offset:(8 * p) 1) pages;
+      Node.close_interval n ~charge:no_charge
+    | Recv (q, pages) ->
+      next_id.(q) <- next_id.(q) + 1;
+      let vt = Vector_time.create index_nprocs in
+      Vector_time.set vt q next_id.(q);
+      let mi =
+        {
+          Node.mi_proc = q;
+          mi_id = next_id.(q);
+          mi_vt = vt;
+          mi_pages = List.map (fun p -> (p, None)) pages;
+        }
+      in
+      sent := mi :: !sent;
+      Node.incorporate n [ mi ] ~charge:no_charge
+    | Resend k -> (
+      match !sent with
+      | [] -> ()
+      | l -> Node.incorporate n [ List.nth l (k mod List.length l) ] ~charge:no_charge)
+    | Sweep ->
+      ignore (Node.discard_all_records n ~charge:no_charge);
+      Array.iter (fun cells -> Array.fill cells 0 index_nprocs []) dense);
+    mirror before;
+    List.for_all
+      (fun page -> index_agrees n.Node.pages.(page) dense.(page))
+      (List.init index_pages Fun.id)
+  in
+  List.for_all step ops
+
+let index_matches_dense =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"notice index matches a dense array" index_ops_gen
+       run_index_history)
+
+(* The PageArray must not cost pages x nprocs: a fresh 1024-processor node
+   over Jacobi's 258 pages held 406,517 words with a dense notice array per
+   page and a flat address space. *)
+let create_is_small () =
+  List.iter
+    (fun pid ->
+      let n = Node.create ~pid ~nprocs:1024 ~pages:258 () in
+      let words = Obj.reachable_words (Obj.repr n) in
+      if words * 10 >= 406_517 then
+        Alcotest.failf "node %d of 1024 holds %d words at creation" pid words)
+    [ 0; 1 ]
+
 let suite =
   [
     Alcotest.test_case "close creates interval" `Quick close_creates_interval;
@@ -412,4 +550,6 @@ let suite =
     Alcotest.test_case "notice counts" `Quick notice_counts_sizes;
     replay_matches_reference;
     Alcotest.test_case "find_notice stops at older intervals" `Quick find_notice_stops_early;
+    index_matches_dense;
+    Alcotest.test_case "node creation is small" `Quick create_is_small;
   ]
