@@ -1,7 +1,6 @@
 open Tmk_sim
 
 type caps = {
-  c_name : string;
   c_crash_runs : bool;
   c_zero_recovery : bool;
   c_diff_backup : bool;
@@ -24,7 +23,6 @@ type arrival = {
 type acq = { a_grant : granter:int -> charge:Node.charge -> payload }
 
 type t = {
-  b_caps : caps;
   b_handle_fault : pid:int -> Tmk_mem.Vm.access -> int -> unit;
   b_lock_request_bytes : int;
   b_pre_acquire : pid:int -> unit;
@@ -39,25 +37,44 @@ type t = {
   b_on_death : int -> unit;
 }
 
+let plain_caps =
+  { c_crash_runs = false; c_zero_recovery = false; c_diff_backup = false; c_max_procs = 1024 }
+
 (* Plain-synchronization payloads: a fixed-size header, no piggybacked
    consistency records, a flat incorporation charge at the receiver. *)
 
 let plain_absorb ~charge = charge Category.Tmk_consistency Cpu.incorporate_base
 
-let plain_grant ~nprocs ~granter:_ ~charge =
-  charge Category.Unix_comm Cpu.lock_grant_kernel;
-  charge Category.Tmk_other Cpu.lock_grant_dsm;
-  { p_bytes = Wire.lock_grant_bytes ~nprocs []; p_parts = 1; p_absorb = plain_absorb }
-
-let plain_release ~nprocs =
-  { p_bytes = Wire.barrier_release_bytes ~nprocs []; p_parts = 1; p_absorb = plain_absorb }
-
-let plain_arrival ~nprocs =
+let plain ~nprocs ~fault =
+  let nop ~pid:_ = () in
+  let grant ~granter:_ ~charge =
+    charge Category.Unix_comm Cpu.lock_grant_kernel;
+    charge Category.Tmk_other Cpu.lock_grant_dsm;
+    { p_bytes = Wire.lock_grant_bytes ~nprocs []; p_parts = 1; p_absorb = plain_absorb }
+  in
+  let release =
+    { p_bytes = Wire.barrier_release_bytes ~nprocs []; p_parts = 1; p_absorb = plain_absorb }
+  in
+  let acq = { a_grant = grant }
+  and arrival =
+    {
+      v_bytes = Wire.barrier_arrival_bytes ~nprocs [];
+      v_parts = 1;
+      v_absorb_mgr = plain_absorb;
+      v_release = (fun ~charge:_ -> release);
+    }
+  in
   {
-    v_bytes = Wire.barrier_arrival_bytes ~nprocs [];
-    v_parts = 1;
-    v_absorb_mgr = plain_absorb;
-    v_release = (fun ~charge:_ -> plain_release ~nprocs);
+    b_handle_fault = fault;
+    b_lock_request_bytes = Wire.lock_request_bytes ~nprocs;
+    b_pre_acquire = nop;
+    b_make_acquire = (fun ~pid:_ -> acq);
+    b_pre_release = nop;
+    b_pre_barrier = nop;
+    b_barrier_begin = nop;
+    b_make_arrival = (fun ~pid:_ ~mgr:_ ~relay:_ -> arrival);
+    b_barrier_depart = nop;
+    b_want_gc = (fun ~pid:_ -> false);
+    b_gc_validate = nop;
+    b_on_death = ignore;
   }
-
-let noop_pid ~pid:_ = ()

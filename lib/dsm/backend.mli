@@ -18,7 +18,6 @@
     configuration against the selected backend (replacing the historic
     Lrc-only [invalid_arg] checks in [Config.validate]). *)
 type caps = {
-  c_name : string;  (** matches {!Config.protocol_name} *)
   c_crash_runs : bool;  (** crash schedules are admissible *)
   c_zero_recovery : bool;
       (** crashes are tolerated by construction: detection still runs,
@@ -30,6 +29,10 @@ type caps = {
           rejects bigger ones (SC-ABD's full-membership quorums stop at
           64, the others run to the simulator ceiling of 1024) *)
 }
+
+(** No crash runs, no diff backup, up to the simulator's 1024 processors
+    (ERC, SC, Tardis). *)
+val plain_caps : caps
 
 (** One backend-defined message payload: its wire size, its logical part
     count (for transport batching), and the receiver-side absorption
@@ -64,10 +67,9 @@ type arrival = {
 type acq = { a_grant : granter:int -> charge:Node.charge -> payload }
 
 type t = {
-  b_caps : caps;
   b_handle_fault : pid:int -> Tmk_mem.Vm.access -> int -> unit;
-      (** application-context fault entry (the SIGSEGV analogue);
-          returns when the access is legal *)
+      (** fault service, run inside {!Cluster.fault} (application
+          context); returns when the access is legal *)
   b_lock_request_bytes : int;  (** wire size of lock request/forward frames *)
   b_pre_acquire : pid:int -> unit;
       (** run at every acquire entry, before the cached-token check
@@ -101,13 +103,17 @@ type t = {
           from backend-private metadata (copysets, directories) *)
 }
 
-(** {2 Plain-synchronization helpers}
+(** {2 Plain synchronization}
 
-    Shared by backends whose locks and barriers carry no consistency
-    payload beyond the fixed header (ERC, SC: memory is kept consistent
-    by updates/invalidations, not by sync piggybacking). *)
+    Locks and barriers that carry no consistency payload beyond the fixed
+    header (ERC, SC: memory is kept consistent by updates or
+    invalidations, not by sync piggybacking). *)
 
+(** The receiver side of a plain payload: one flat incorporation charge. *)
 val plain_absorb : charge:Node.charge -> unit
-val plain_grant : nprocs:int -> granter:int -> charge:Node.charge -> payload
-val plain_arrival : nprocs:int -> arrival
-val noop_pid : pid:'a -> unit
+
+(** [plain ~nprocs ~fault] — the hook table of a backend that does
+    nothing beyond serving faults: plain lock grants and barrier
+    messages, no-op sync, GC and death hooks.  Backends override the
+    hooks they use. *)
+val plain : nprocs:int -> fault:(pid:int -> Tmk_mem.Vm.access -> int -> unit) -> t

@@ -166,10 +166,10 @@ let note_miss t pid page =
   Log.debug (fun m -> m "[t=%d] miss at %d on page %d" (Engine.now t.engine) pid page);
   node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1
 
-(* Shared fault prologue of the release-consistent backends (§3.7's
-   SIGSEGV handler): charges, stats, events, twin creation on a write to
-   a valid page, and the miss dispatch for invalid pages. *)
-let rc_fault t pid kind page ~miss =
+(* The one fault entry of every backend (§3.7's SIGSEGV handler): the
+   signal and dispatch charges, fault stats and events around the
+   backend's service. *)
+let fault t pid kind page (service : pid:int -> Vm.access -> int -> unit) =
   let node = t.nodes.(pid) in
   app_charge Category.Unix_mem Costs.sigsegv;
   app_charge Category.Tmk_other Cpu.fault_dispatch;
@@ -178,20 +178,26 @@ let rc_fault t pid kind page ~miss =
   | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
   if Engine.tracing t.engine then
     emit t ~pid (Tmk_trace.Event.Page_fault { page; kind });
-  (match (Vm.prot node.Node.vm page, kind) with
+  service ~pid kind page;
+  if Engine.tracing t.engine then
+    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
+
+(* Fault service of the multiple-writer backends: twin creation on a
+   write to a valid page, [miss pid page] for an invalid one. *)
+let rc_fault t ~miss ~pid kind page =
+  let node = t.nodes.(pid) in
+  match (Vm.prot node.Node.vm page, kind) with
   | Vm.Read_only, Vm.Write ->
     atomically (fun charge -> Node.write_fault_twin node page ~charge)
-  | Vm.No_access, Vm.Read -> miss ()
+  | Vm.No_access, Vm.Read -> miss pid page
   | Vm.No_access, Vm.Write ->
-    miss ();
+    miss pid page;
     (* The miss can leave the page invalid again if a notice raced in;
        the Vm fault dispatcher retries and we fall into the miss path
        once more. *)
     if Vm.prot node.Node.vm page = Vm.Read_only then
       atomically (fun charge -> Node.write_fault_twin node page ~charge)
-  | (Vm.Read_only | Vm.Read_write), _ -> assert false);
-  if Engine.tracing t.engine then
-    emit t ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
+  | (Vm.Read_only | Vm.Read_write), _ -> assert false
 
 let create cfg =
   let engine = Engine.create ~nprocs:cfg.Config.nprocs in

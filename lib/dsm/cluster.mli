@@ -118,8 +118,15 @@ val register_pending :
     debug log). *)
 val note_miss : t -> int -> int -> unit
 
-(** [rc_fault t pid kind page ~miss] — the shared fault prologue of the
-    release-consistent backends (LRC, ERC): SIGSEGV and dispatch
-    charges, fault stats and events, twin creation on write-to-valid,
-    and the protection-state dispatch into [miss] for invalid pages. *)
-val rc_fault : t -> int -> Tmk_mem.Vm.access -> int -> miss:(unit -> unit) -> unit
+(** [fault t pid kind page service] — the fault entry of every backend
+    (the SIGSEGV analogue, application context): SIGSEGV and dispatch
+    charges, fault stats, and the [Page_fault]/[Page_fault_done] events
+    around [service], which returns once the access is legal. *)
+val fault :
+  t -> int -> Tmk_mem.Vm.access -> int -> (pid:int -> Tmk_mem.Vm.access -> int -> unit) -> unit
+
+(** [rc_fault t ~miss] — the fault service of the LRC, ERC and SC-ABD
+    backends: twin creation on a write to a valid page, [miss pid page]
+    for an invalid one. *)
+val rc_fault :
+  t -> miss:(int -> int -> unit) -> pid:int -> Tmk_mem.Vm.access -> int -> unit

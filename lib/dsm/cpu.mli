@@ -89,10 +89,10 @@ val erc_flush_per_page : Vtime.t
     collection. *)
 val gc_per_record : Vtime.t
 
-(** [tardis_manager] — one Tardis manager bookkeeping step (timestamp
-    compare/bump, request queue maintenance); same magnitude as the SC
-    manager's per-step cost. *)
-val tardis_manager : Vtime.t
+(** [page_manager] — one step of the single-writer page directory's
+    manager (SC and Tardis): serving a request or completing one
+    (ownership record or timestamp update, request queue maintenance). *)
+val page_manager : Vtime.t
 
 (** [lease_sweep_per_page] — examining one cached page during a Tardis
     lease sweep (the invalidation's mprotect is charged separately). *)

@@ -14,14 +14,7 @@ let app_charge = Cluster.app_charge
 let h_charge = Cluster.h_charge
 let atomically = Cluster.atomically
 
-let caps =
-  {
-    Backend.c_name = Config.protocol_name Config.Erc;
-    c_crash_runs = false;
-    c_zero_recovery = false;
-    c_diff_backup = false;
-    c_max_procs = 1024;
-  }
+let caps = Backend.plain_caps
 
 type t = {
   cl : Cluster.t;
@@ -236,19 +229,8 @@ let make cl =
     }
   in
   {
-    Backend.b_caps = caps;
-    b_handle_fault =
-      (fun ~pid kind page -> Cluster.rc_fault cl pid kind page ~miss:(fun () -> miss t pid page));
-    b_lock_request_bytes = Wire.lock_request_bytes ~nprocs;
-    b_pre_acquire = Backend.noop_pid;
-    b_make_acquire =
-      (fun ~pid:_ -> { Backend.a_grant = (fun ~granter ~charge -> Backend.plain_grant ~nprocs ~granter ~charge) });
-    b_pre_release = (fun ~pid -> flush t pid);
+    (Backend.plain ~nprocs ~fault:(Cluster.rc_fault cl ~miss:(miss t))) with
+    Backend.b_pre_release = (fun ~pid -> flush t pid);
     b_pre_barrier = (fun ~pid -> flush t pid);
-    b_barrier_begin = Backend.noop_pid;
-    b_make_arrival = (fun ~pid:_ ~mgr:_ ~relay:_ -> Backend.plain_arrival ~nprocs);
-    b_barrier_depart = Backend.noop_pid;
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
     b_on_death = (fun dead_pid -> Array.iter (fun d -> Bitset.remove d dead_pid) t.dir);
   }

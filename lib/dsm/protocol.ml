@@ -773,7 +773,8 @@ let note_death t dead_pid =
       (* A zero-recovery backend rode out the crash by construction:
          record a recovery only when something was actually rebuilt. *)
       let counted =
-        (not t.backend.Backend.b_caps.Backend.c_zero_recovery) || locks > 0 || retries > 0
+        (not (backend_caps (config t).Config.protocol).Backend.c_zero_recovery)
+        || locks > 0 || retries > 0
       in
       if counted then begin
         if Engine.tracing (engine t) then
@@ -950,19 +951,18 @@ let arm_heartbeat t =
 let create cfg =
   Config.validate cfg;
   let caps = backend_caps cfg.Config.protocol in
+  let name = Config.protocol_name cfg.Config.protocol in
   let planned_crashes = Tmk_net.Fault_plan.crashes cfg.Config.faults in
   if planned_crashes <> [] && not caps.Backend.c_crash_runs then
     invalid_arg
-      (Printf.sprintf "Config: crash recovery is not supported by the %s backend"
-         caps.Backend.c_name);
+      (Printf.sprintf "Config: crash recovery is not supported by the %s backend" name);
   if cfg.Config.diff_backup && not caps.Backend.c_diff_backup then
     invalid_arg
-      (Printf.sprintf "Config: diff_backup is not supported by the %s backend"
-         caps.Backend.c_name);
+      (Printf.sprintf "Config: diff_backup is not supported by the %s backend" name);
   if cfg.Config.nprocs > caps.Backend.c_max_procs then
     invalid_arg
       (Printf.sprintf "Config: the %s backend supports at most %d processors (nprocs = %d)"
-         caps.Backend.c_name caps.Backend.c_max_procs cfg.Config.nprocs);
+         name caps.Backend.c_max_procs cfg.Config.nprocs);
   let cl = Cluster.create cfg in
   let backend =
     match cfg.Config.protocol with
@@ -989,7 +989,7 @@ let create cfg =
   Array.iteri
     (fun pid node ->
       Vm.set_fault_handler node.Node.vm (fun kind page ->
-          backend.Backend.b_handle_fault ~pid kind page))
+          Cluster.fault cl pid kind page backend.Backend.b_handle_fault))
     cl.Cluster.nodes;
   (match List.filter_map (fun h -> h.Hooks.h_access) cfg.Config.check with
   | [] -> ()

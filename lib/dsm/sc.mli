@@ -8,17 +8,16 @@
     variables on one page) the page ping-pongs across the network in its
     entirety — the behaviour the multiple-writer protocol eliminates.
 
-    Implementation: each page has a statically assigned {e manager}
-    (page mod nprocs) holding the page's ownership record (current owner,
-    copyset) and a FIFO of outstanding requests; requests are processed
-    one at a time per page, entirely by request handlers:
+    Implementation: a policy over the shared single-writer page
+    {!Directory}.  Each page's manager ({!Cluster.page_owner}:
+    [page mod nprocs], or the ownership ring under [Config.sharding])
+    serializes the page's requests; this module adds the copyset:
 
-    - read miss: request → manager → forward to owner → owner downgrades
-      itself to read-only and sends the page → requester installs,
-      notifies the manager, joins the copyset;
-    - write miss: request → manager → manager invalidates every other
-      copy (acknowledged) → ownership (and the page, if the writer has no
-      current copy) transfers → writer upgrades to read-write.
+    - read miss: the owner downgrades itself to read-only and sends the
+      page; the requester joins the copyset;
+    - write miss: the manager first invalidates every other copy
+      (acknowledged), then ownership (and the page, if the writer has no
+      current copy) transfers and the old owner loses its copy.
 
     Synchronization (locks, barriers) carries no consistency payload:
     memory is kept consistent at every write, which is exactly why this
@@ -26,30 +25,9 @@
 
     Used through {!Protocol} with [Config.protocol = Sc]. *)
 
-open Tmk_sim
-
-type t
-
-(** [create ~engine ~transport ~nodes ~pages ()] — ownership starts at
-    processor 0 for every page, matching {!Node.create}'s initial page
-    states.  [page_home] overrides the static [page mod nprocs] manager
-    placement (the sharding ring passes its owner lookup here). *)
-val create :
-  ?page_home:(int -> int) ->
-  engine:Engine.t ->
-  transport:Tmk_net.Transport.t ->
-  nodes:Node.t array ->
-  pages:int ->
-  unit ->
-  t
-
-(** [handle_fault t ~pid kind page] — application-context fault entry
-    point (the SIGSEGV analogue); blocks until the access is legal. *)
-val handle_fault : t -> pid:int -> Tmk_mem.Vm.access -> int -> unit
-
 val caps : Backend.caps
 
-(** [make cl] builds the single-writer state over [cl]'s nodes and
-    returns the backend hook table (all synchronization hooks are
-    plain: consistency lives entirely in the fault path). *)
+(** [make cl] builds the copysets and the page directory over [cl] and
+    returns the backend hook table (all synchronization hooks are plain:
+    consistency lives entirely in the fault path). *)
 val make : Cluster.t -> Backend.t

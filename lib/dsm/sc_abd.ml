@@ -38,8 +38,7 @@ let atomically = Cluster.atomically
 
 let caps =
   {
-    Backend.c_name = Config.protocol_name Config.Sc_abd;
-    c_crash_runs = true;
+    Backend.c_crash_runs = true;
     c_zero_recovery = true;
     c_diff_backup = false;
     (* two-phase quorum traffic over full replicas: past 64 processors
@@ -380,11 +379,8 @@ let make cl =
     cl.Cluster.nodes;
   let t = { cl; wordts = Array.init n (fun _ -> Array.make (npages * words) 0) } in
   {
-    Backend.b_caps = caps;
-    b_handle_fault =
-      (fun ~pid kind page ->
-        Cluster.rc_fault cl pid kind page ~miss:(fun () -> quorum_read t pid page));
-    b_lock_request_bytes = Wire.abd_sync_bytes;
+    (Backend.plain ~nprocs:n ~fault:(Cluster.rc_fault cl ~miss:(quorum_read t))) with
+    Backend.b_lock_request_bytes = Wire.abd_sync_bytes;
     b_pre_acquire =
       (fun ~pid ->
         flush t pid;
@@ -404,7 +400,6 @@ let make cl =
         });
     b_pre_release = (fun ~pid -> flush t pid);
     b_pre_barrier = (fun ~pid -> flush t pid);
-    b_barrier_begin = Backend.noop_pid;
     b_make_arrival =
       (fun ~pid ~mgr:_ ~relay:_ ->
         {
@@ -424,7 +419,4 @@ let make cl =
         });
     b_barrier_depart =
       (fun ~pid -> atomically (fun charge -> invalidate_all t pid ~charge));
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
-    b_on_death = (fun _ -> ());
   }

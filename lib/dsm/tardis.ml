@@ -17,25 +17,19 @@
    [wts > lease] and propagates a larger clock through the sync chain
    that expires the lease at the next acquire.
 
-   Page requests are serialized per page through a static manager
-   (page mod nprocs), Li–Hudak style, but the manager keeps only the
-   (owner, wts, rts) triple — no copyset, because there is nothing to
-   invalidate.  An ownership transfer leaves the old owner a leased
-   read-only copy valid through [wts - 1]. *)
+   Page requests go through the shared single-writer {!Directory}: one
+   manager per page ([Cluster.page_owner]: page mod nprocs, or the
+   consistent-hash ring under [Config.sharding]) serializes them,
+   Li–Hudak style.  This module adds only the (wts, rts) pair per page —
+   no copyset, because there is nothing to invalidate.  An ownership
+   transfer leaves the old owner a leased read-only copy valid through
+   [wts - 1]. *)
 
 open Tmk_sim
-module Transport = Tmk_net.Transport
 module Vm = Tmk_mem.Vm
 module Costs = Tmk_mem.Costs
 
-let caps =
-  {
-    Backend.c_name = Config.protocol_name Config.Tardis;
-    c_crash_runs = false;
-    c_zero_recovery = false;
-    c_diff_backup = false;
-    c_max_procs = 1024;
-  }
+let caps = Backend.plain_caps
 
 (* How far past the reader's clock a read leases the page.  Larger spans
    mean fewer re-reads of stable pages across synchronization; smaller
@@ -43,187 +37,59 @@ let caps =
    when nobody writes. *)
 let lease_span = 8
 
-type kind = Read_miss | Write_miss
-
-type request = {
-  rq_pid : int;
-  rq_kind : kind;
-  rq_pts : int;  (* requester clock at fault time *)
-  rq_version : int;  (* wts of the bytes the requester still caches; -1 = none *)
-  rq_done : unit Engine.Ivar.t;
-}
-
-(* The manager-side record of one page.  At most one request per page is
-   in flight ([ps_current]); the rest queue FIFO. *)
-type page_state = {
-  ps_page : int;
-  mutable ps_owner : int;
-  mutable ps_wts : int;
-  mutable ps_rts : int;
-  mutable ps_current : request option;
-  ps_queue : request Queue.t;
-}
+(* What a request carries from the faulting processor: its clock, and
+   the wts of the bytes it still caches (-1 = none). *)
+type stamp = { st_pts : int; st_version : int }
 
 type t = {
   cl : Cluster.t;
-  pstates : page_state array;
+  wts : int array;  (* per page: logical time of the last write *)
+  rts : int array;  (* per page: the current value is leased through here *)
   pts : int array;  (* per-processor scalar logical clock *)
   lease : int array array;  (* lease.(pid).(page): valid-through rts *)
   version : int array array;  (* version.(pid).(page): wts of cached bytes; -1 = none *)
 }
 
-
-(* Static [page mod nprocs] placement, or the consistent-hash ring under
-   [Config.sharding] — either way one manager serializes each page. *)
-let manager_of t page = Cluster.page_owner t.cl page
-let h_charge = Cluster.h_charge
-
 (* ------------------------------------------------------------------ *)
-(* Page requests (manager-serialized, handler context throughout)      *)
+(* Page requests: the lease arithmetic on the directory's steps.       *)
 
-let rec complete t st _rq h =
-  h_charge h Category.Tmk_other Cpu.tardis_manager;
-  st.ps_current <- None;
-  match Queue.take_opt st.ps_queue with
-  | None -> ()
-  | Some next -> start t st next h
+(* Manager: a read leases the current value forward past the reader's
+   clock; a write happens after every outstanding lease and after the
+   writer's own clock, so it needs no invalidations, ever.  Either way
+   the page travels only when the requester's cached bytes are stale. *)
+let serve t d rq h =
+  let page = rq.Directory.rq_page and { st_pts; st_version } = rq.Directory.rq_info in
+  match rq.Directory.rq_kind with
+  | Directory.Read_miss ->
+    t.rts.(page) <- max t.rts.(page) (st_pts + lease_span);
+    Directory.read d rq ~with_page:(st_version <> t.wts.(page)) h
+  | Directory.Write_miss ->
+    let old_wts = t.wts.(page) in
+    let wts = 1 + max old_wts (max t.rts.(page) st_pts) in
+    t.wts.(page) <- wts;
+    t.rts.(page) <- wts;
+    Directory.write d rq ~need_page:(st_version <> old_wts) h
 
-(* Runs at the requester: install the page (unless its cached bytes are
-   already the current version), record version and lease, advance the
-   clock past the write it just read, wake the application. *)
-and grant t st rq ~wts ~lease ~prot ~from_ ~page_bytes h =
-  let node = t.cl.Cluster.nodes.(rq.rq_pid) in
-  (match page_bytes with
-  | Some bytes ->
-    h_charge h Category.Tmk_mem Costs.page_copy;
-    Vm.install_page node.Node.vm st.ps_page bytes;
-    node.Node.stats.Stats.page_fetches <- node.Node.stats.Stats.page_fetches + 1;
-    if Engine.htracing h then
-      Engine.hemit h (Tmk_trace.Event.Page_fetch { page = st.ps_page; from_ })
-  | None -> ());
-  h_charge h Category.Unix_mem Costs.mprotect;
-  Vm.set_prot node.Node.vm st.ps_page prot;
-  node.Node.pages.(st.ps_page).Node.pg_has_copy <- true;
-  t.version.(rq.rq_pid).(st.ps_page) <- wts;
-  t.lease.(rq.rq_pid).(st.ps_page) <- lease;
-  t.pts.(rq.rq_pid) <- max t.pts.(rq.rq_pid) wts;
-  Engine.fill t.cl.Cluster.engine rq.rq_done ~at:(Engine.hnow h) ();
-  Transport.hsend ~label:"tardis-complete" t.cl.Cluster.transport h
-    ~dst:(manager_of t st.ps_page) ~bytes:Wire.ack_bytes
-    ~deliver:(fun hm -> complete t st rq hm)
+(* The old owner relinquishes eagerly — in its own handler, so a
+   concurrent lease sweep at this processor either still sees it as
+   owner (copy current, skip) or sees the lease set here — keeping a
+   read-only copy leased through the new write time minus one.  Its
+   [version] already names those bytes: an owner never re-fetches its
+   page. *)
+let relinquish t rq ~owner h =
+  let page = rq.Directory.rq_page in
+  Directory.restrict t.cl h ~pid:owner page Vm.Read_only;
+  t.lease.(owner).(page) <- t.wts.(page) - 1
 
-(* Serve a read at the owner: downgrade to read-only (the granted lease
-   forbids writing at times <= rts without a fresh wts) and ship the
-   page unless the requester's cached bytes are already current. *)
-and owner_serve_read t st rq ~rts h =
-  let owner = st.ps_owner in
-  let onode = t.cl.Cluster.nodes.(owner) in
-  if Vm.prot onode.Node.vm st.ps_page = Vm.Read_write then begin
-    h_charge h Category.Unix_mem Costs.mprotect;
-    Vm.set_prot onode.Node.vm st.ps_page Vm.Read_only
-  end;
-  let wts = st.ps_wts in
-  let with_page = rq.rq_version <> wts in
-  let page_bytes =
-    if with_page then begin
-      h_charge h Category.Tmk_mem Costs.page_copy;
-      Some (Vm.page_snapshot onode.Node.vm st.ps_page)
-    end
-    else None
-  in
-  Transport.hsend ~label:"tardis-page" t.cl.Cluster.transport h ~dst:rq.rq_pid
-    ~bytes:(Wire.tardis_page_reply_bytes ~with_page)
-    ~deliver:(grant t st rq ~wts ~lease:rts ~prot:Vm.Read_only ~from_:owner ~page_bytes)
-
-(* Ownership transfer at the old owner.  The old owner relinquishes
-   eagerly — in its own handler, so a concurrent lease sweep at this
-   processor either still sees it as owner (copy current, skip) or sees
-   the lease set here — keeping a read-only copy leased through the new
-   write time minus one. *)
-and owner_transfer t st rq ~wts ~old_wts ~need_page h =
-  let owner = st.ps_owner in
-  let onode = t.cl.Cluster.nodes.(owner) in
-  let page_bytes =
-    if need_page then begin
-      h_charge h Category.Tmk_mem Costs.page_copy;
-      Some (Vm.page_snapshot onode.Node.vm st.ps_page)
-    end
-    else None
-  in
-  if Vm.prot onode.Node.vm st.ps_page = Vm.Read_write then begin
-    h_charge h Category.Unix_mem Costs.mprotect;
-    Vm.set_prot onode.Node.vm st.ps_page Vm.Read_only
-  end;
-  t.lease.(owner).(st.ps_page) <- wts - 1;
-  t.version.(owner).(st.ps_page) <- old_wts;
-  st.ps_owner <- rq.rq_pid;
-  Transport.hsend ~label:"tardis-transfer" t.cl.Cluster.transport h ~dst:rq.rq_pid
-    ~bytes:(Wire.tardis_page_reply_bytes ~with_page:need_page)
-    ~deliver:(grant t st rq ~wts ~lease:wts ~prot:Vm.Read_write ~from_:owner ~page_bytes)
-
-(* Begin serving a request (manager context). *)
-and start t st rq h =
-  st.ps_current <- Some rq;
-  h_charge h Category.Tmk_other Cpu.tardis_manager;
-  match rq.rq_kind with
-  | Read_miss ->
-    (* lease the current value forward past the reader's clock *)
-    let rts = max st.ps_rts (rq.rq_pts + lease_span) in
-    st.ps_rts <- rts;
-    Transport.hsend ~label:"tardis-read" t.cl.Cluster.transport h ~dst:st.ps_owner
-      ~bytes:Wire.tardis_page_request_bytes
-      ~deliver:(fun ho -> owner_serve_read t st rq ~rts ho)
-  | Write_miss ->
-    (* the write happens after every outstanding lease and after the
-       writer's own clock: no invalidations needed, ever *)
-    let wts = 1 + max st.ps_wts (max st.ps_rts rq.rq_pts) in
-    let old_wts = st.ps_wts in
-    st.ps_wts <- wts;
-    st.ps_rts <- max st.ps_rts wts;
-    if st.ps_owner = rq.rq_pid then
-      (* pure upgrade: the owner's bytes are current by construction *)
-      Transport.hsend ~label:"tardis-upgrade" t.cl.Cluster.transport h ~dst:rq.rq_pid
-        ~bytes:Wire.ack_bytes
-        ~deliver:
-          (grant t st rq ~wts ~lease:wts ~prot:Vm.Read_write ~from_:rq.rq_pid
-             ~page_bytes:None)
-    else
-      let need_page = rq.rq_version <> old_wts in
-      Transport.hsend ~label:"tardis-ownership" t.cl.Cluster.transport h ~dst:st.ps_owner
-        ~bytes:Wire.tardis_page_request_bytes
-        ~deliver:(owner_transfer t st rq ~wts ~old_wts ~need_page)
-
-let manager_handle _t st rq h =
-  if st.ps_current = None then start _t st rq h else Queue.add rq st.ps_queue
-
-let handle_fault t ~pid kind page =
-  let node = t.cl.Cluster.nodes.(pid) in
-  Engine.advance Category.Unix_mem Costs.sigsegv;
-  Engine.advance Category.Tmk_other Cpu.fault_dispatch;
-  (match kind with
-  | Vm.Read -> node.Node.stats.Stats.read_faults <- node.Node.stats.Stats.read_faults + 1
-  | Vm.Write -> node.Node.stats.Stats.write_faults <- node.Node.stats.Stats.write_faults + 1);
-  node.Node.stats.Stats.remote_misses <- node.Node.stats.Stats.remote_misses + 1;
-  let rq_kind = match kind with Vm.Read -> Read_miss | Vm.Write -> Write_miss in
-  if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault { page; kind });
-  let rq =
-    {
-      rq_pid = pid;
-      rq_kind;
-      rq_pts = t.pts.(pid);
-      rq_version = t.version.(pid).(page);
-      rq_done = Engine.Ivar.create ();
-    }
-  in
-  Engine.advance Category.Tmk_other Cpu.page_request_build;
-  let st = t.pstates.(page) in
-  Transport.send ~label:"tardis-request" t.cl.Cluster.transport ~src:pid
-    ~dst:(manager_of t page) ~bytes:Wire.tardis_page_request_bytes
-    ~deliver:(fun h -> manager_handle t st rq h);
-  Engine.await rq.rq_done;
-  if Engine.tracing t.cl.Cluster.engine then
-    Cluster.emit t.cl ~pid (Tmk_trace.Event.Page_fault_done { page; kind })
+(* Requester: record version and lease (the page's rts, which a write
+   set to its wts), and advance the clock past the write it just read.
+   One request per page is in flight, so [wts] and [rts] still hold what
+   [serve] set for this one. *)
+let granted t rq =
+  let page = rq.Directory.rq_page and pid = rq.Directory.rq_pid in
+  t.version.(pid).(page) <- t.wts.(page);
+  t.lease.(pid).(page) <- t.rts.(page);
+  t.pts.(pid) <- max t.pts.(pid) t.wts.(page)
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization: merge the granter's clock, sweep expired leases.   *)
@@ -233,7 +99,7 @@ let handle_fault t ~pid kind page =
    ownership means holding the newest bytes.  [version] is kept — it
    records which bytes are still in memory, so a later re-read whose
    version matches the current wts costs no page transfer. *)
-let sweep t pid ~charge =
+let sweep t d pid ~charge =
   let node = t.cl.Cluster.nodes.(pid) in
   let npages = t.cl.Cluster.cfg.Config.pages in
   charge Category.Tmk_consistency (Vtime.scale Cpu.lease_sweep_per_page npages);
@@ -241,7 +107,7 @@ let sweep t pid ~charge =
   for page = 0 to npages - 1 do
     if
       t.version.(pid).(page) >= 0
-      && t.pstates.(page).ps_owner <> pid
+      && Directory.owner d page <> pid
       && Vm.prot node.Node.vm page <> Vm.No_access
       && t.lease.(pid).(page) < now
     then begin
@@ -255,14 +121,14 @@ let sweep t pid ~charge =
   done
 
 (* Absorb one synchronization timestamp: merge, sweep, trace. *)
-let absorb t pid ~from_pts ~charge =
+let absorb t d pid ~from_pts ~charge =
   charge Category.Tmk_consistency Cpu.incorporate_base;
   t.pts.(pid) <- max t.pts.(pid) from_pts;
-  sweep t pid ~charge;
+  sweep t d pid ~charge;
   if Engine.tracing t.cl.Cluster.engine then
     Cluster.emit t.cl ~pid (Tmk_trace.Event.Ts_sync { ts = t.pts.(pid) })
 
-let make_acquire t ~pid =
+let make_acquire t d ~pid =
   {
     Backend.a_grant =
       (fun ~granter ~charge ->
@@ -272,7 +138,7 @@ let make_acquire t ~pid =
         {
           Backend.p_bytes = Wire.tardis_lock_grant_bytes;
           p_parts = 1;
-          p_absorb = (fun ~charge -> absorb t pid ~from_pts:granter_pts ~charge);
+          p_absorb = (fun ~charge -> absorb t d pid ~from_pts:granter_pts ~charge);
         });
   }
 
@@ -280,7 +146,7 @@ let make_acquire t ~pid =
    is a [max] merge, so an interior node's own arrival (built after its
    children's merges) already carries its whole subtree — [relay] needs
    no special handling. *)
-let make_arrival t ~pid ~mgr =
+let make_arrival t d ~pid ~mgr =
   let arrival_pts = t.pts.(pid) in
   {
     Backend.v_bytes = Wire.tardis_barrier_arrival_bytes;
@@ -295,7 +161,7 @@ let make_arrival t ~pid ~mgr =
         {
           Backend.p_bytes = Wire.tardis_barrier_release_bytes;
           p_parts = 1;
-          p_absorb = (fun ~charge -> absorb t pid ~from_pts:merged ~charge);
+          p_absorb = (fun ~charge -> absorb t d pid ~from_pts:merged ~charge);
         });
   }
 
@@ -305,41 +171,40 @@ let make cl =
   let t =
     {
       cl;
-      pstates =
-        Array.init npages (fun page ->
-            {
-              ps_page = page;
-              ps_owner = 0;
-              ps_wts = 0;
-              ps_rts = 0;
-              ps_current = None;
-              ps_queue = Queue.create ();
-            });
+      wts = Array.make npages 0;
+      rts = Array.make npages 0;
       pts = Array.make n 0;
       lease = Array.make_matrix n npages 0;
-      version =
-        Array.init n (fun pid -> Array.make npages (if pid = 0 then 0 else -1));
+      version = Array.init n (fun pid -> Array.make npages (if pid = 0 then 0 else -1));
     }
   in
+  let d =
+    Directory.create cl
+      {
+        Directory.name = "tardis";
+        request_bytes = Wire.tardis_page_request_bytes;
+        reply_bytes = Wire.tardis_page_reply_bytes;
+        serve = serve t;
+        relinquish = relinquish t;
+        granted = granted t;
+        completed = ignore;
+      }
+  in
+  let fault ~pid kind page =
+    Directory.fault d ~pid kind page
+      { st_pts = t.pts.(pid); st_version = t.version.(pid).(page) }
+  in
   {
-    Backend.b_caps = caps;
-    b_handle_fault = (fun ~pid kind page -> handle_fault t ~pid kind page);
-    b_lock_request_bytes = Wire.tardis_lock_request_bytes;
-    b_pre_acquire = Backend.noop_pid;
-    b_make_acquire = (fun ~pid -> make_acquire t ~pid);
-    b_pre_release = Backend.noop_pid;
-    b_pre_barrier = Backend.noop_pid;
-    b_barrier_begin = Backend.noop_pid;
-    b_make_arrival = (fun ~pid ~mgr ~relay:_ -> make_arrival t ~pid ~mgr);
+    (Backend.plain ~nprocs:n ~fault) with
+    Backend.b_lock_request_bytes = Wire.tardis_lock_request_bytes;
+    b_make_acquire = make_acquire t d;
+    b_make_arrival = (fun ~pid ~mgr ~relay:_ -> make_arrival t d ~pid ~mgr);
     b_barrier_depart =
       (* the manager merged every arrival into its own clock; sweep it
          (clients sweep inside their release payload's absorb) *)
       (fun ~pid ->
         Cluster.atomically (fun charge ->
-            sweep t pid ~charge;
+            sweep t d pid ~charge;
             if Engine.tracing cl.Cluster.engine then
               Cluster.emit cl ~pid (Tmk_trace.Event.Ts_sync { ts = t.pts.(pid) })));
-    b_want_gc = (fun ~pid:_ -> false);
-    b_gc_validate = Backend.noop_pid;
-    b_on_death = (fun _ -> ());
   }

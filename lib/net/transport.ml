@@ -454,25 +454,6 @@ let await_value t mb =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Request/response.                                                   *)
-
-type 'a promise = 'a mailbox
-
-let call ?label ?(parts = 1) t ~src ~dst ~bytes ~serve =
-  let mb = mailbox () in
-  let reply_label = Option.map (fun l -> l ^ "-reply") label in
-  Engine.advance Category.Unix_comm (burst_send_cost t ~bytes ~parts);
-  oneway ?label ~parts t ~src ~dst ~bytes ~at:(Engine.now t.engine) ~deliver:(fun h ->
-      let reply_bytes, reply = serve h in
-      hsend_value ?label:reply_label t h ~dst:src ~bytes:reply_bytes mb reply);
-  mb
-
-let await_reply = await_value
-
-let rpc ?label t ~src ~dst ~bytes ~serve =
-  await_reply t (call ?label t ~src ~dst ~bytes ~serve)
-
-(* ------------------------------------------------------------------ *)
 (* Statistics.                                                         *)
 
 let messages_sent t = Array.fold_left (fun acc c -> acc + c.msgs) 0 t.per_proc

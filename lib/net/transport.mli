@@ -191,38 +191,6 @@ val hsend_value :
     mailbox delivers exactly one value. *)
 val await_value : t -> 'a mailbox -> 'a
 
-(** Outstanding reply of an asynchronous {!call}. *)
-type 'a promise
-
-(** [call t ~src ~dst ~bytes ~serve] — request/response: [serve] runs in a
-    handler context on [dst] and returns [(reply_bytes, reply)]; the reply
-    is sent back to [src].  Returns immediately; several calls may be
-    outstanding (the access-miss protocol fetches diffs "in parallel",
-    §3.5). *)
-val call :
-  ?label:string ->
-  ?parts:int ->
-  t ->
-  src:Engine.pid ->
-  dst:Engine.pid ->
-  bytes:int ->
-  serve:(Engine.hctx -> int * 'a) ->
-  'a promise
-
-(** [await_reply t p] — process context: block for the reply, charge
-    delivery CPU, return it. *)
-val await_reply : t -> 'a promise -> 'a
-
-(** [rpc t ~src ~dst ~bytes ~serve] is [await_reply t (call t ...)]. *)
-val rpc :
-  ?label:string ->
-  t ->
-  src:Engine.pid ->
-  dst:Engine.pid ->
-  bytes:int ->
-  serve:(Engine.hctx -> int * 'a) ->
-  'a
-
 (** {2 Statistics}
 
     Counters cover every frame handed to the medium by a sender,
@@ -277,8 +245,8 @@ type mix_entry = {
 }
 
 (** [message_mix t] — traffic per message label (the [?label] given at
-    each send; replies get ["<label>-reply"], transport acknowledgements
-    ["ack"], unlabelled traffic ["other"]), most frequent first. *)
+    each send; transport acknowledgements ["ack"], unlabelled traffic
+    ["other"]), most frequent first. *)
 val message_mix : t -> mix_entry list
 
 (** [reset_stats t] zeroes all counters and clears the

@@ -95,7 +95,7 @@ let dedup_table_drains () =
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
       for _ = 1 to 50 do
-        ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:32 ~serve:(fun _ -> incr served; (32, ())))
+        ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:32 ~serve:(fun _ -> incr served; (32, ())))
       done);
   Engine.run engine;
   check Alcotest.int "served exactly once each" 50 !served;
@@ -107,7 +107,7 @@ let reset_stats_clears_dedup () =
   let engine, tr = make ~plan:(lossy 0.3) ~seed:7L () in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
+      ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
   Engine.run engine;
   Transport.reset_stats tr;
   check Alcotest.int "counters" 0 (Transport.messages_sent tr);
@@ -172,7 +172,7 @@ let unreachable_peer_suspected () =
   let engine, tr = make ~plan () in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
+      ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:8 ~serve:(fun _ -> (8, ()))));
   Engine.run engine;
   check Alcotest.int "one suspicion" 1 (Transport.suspicions tr);
   check Alcotest.bool "run stopped cleanly" true (Engine.stop_reason engine <> None);
@@ -206,7 +206,7 @@ let transport_runs_are_deterministic () =
     Engine.spawn engine 1 (fun () -> ());
     Engine.spawn engine 0 (fun () ->
         for _ = 1 to 25 do
-          ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ -> (64, ())))
+          ignore (Test_net.rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ -> (64, ())))
         done);
     Engine.run engine;
     (Engine.end_time engine, Transport.messages_sent tr, Transport.retransmissions tr)

@@ -26,8 +26,10 @@ type scenario = {
   sc_seed : int64;
 }
 
+(* SC-ABD stays out until its wrong values under frame loss (ROADMAP
+   item 6) are fixed. *)
 let protocol_gen =
-  QCheck.Gen.oneofl [ Config.Lrc; Config.Erc; Config.Sc ]
+  QCheck.Gen.oneofl [ Config.Lrc; Config.Erc; Config.Sc; Config.Tardis ]
 
 let scenario_gen =
   let open QCheck.Gen in

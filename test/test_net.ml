@@ -12,6 +12,20 @@ let make_cluster ?plan ?(nprocs = 2) ?(params = Params.atm_aal34) ?(seed = 1L) (
   let transport = Transport.create ?plan ~engine ~params ~prng () in
   (engine, transport)
 
+(* A request and its reply over the mailbox API: [serve] runs in a
+   handler on [dst] and returns the reply's size and value, which travels
+   back to [src] (labelled ["<label>-reply"]). *)
+let request ?label tr ~src ~dst ~bytes ~serve =
+  let mb = Transport.mailbox () in
+  Transport.send ?label tr ~src ~dst ~bytes ~deliver:(fun h ->
+      let reply_bytes, reply = serve h in
+      let label = Option.map (fun l -> l ^ "-reply") label in
+      Transport.hsend_value ?label tr h ~dst:src ~bytes:reply_bytes mb reply);
+  mb
+
+let rpc ?label tr ~src ~dst ~bytes ~serve =
+  Transport.await_value tr (request ?label tr ~src ~dst ~bytes ~serve)
+
 (* Analytic expectation for a zero-payload RPC where the server charges no
    time of its own: request takes the SIGIO-handler path, the reply wakes
    the blocked caller. *)
@@ -29,7 +43,7 @@ let rpc_roundtrip_timing () =
   let p = Params.atm_aal34 in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      let v = Transport.rpc tr ~src:0 ~dst:1 ~bytes:0 ~serve:(fun _h -> (0, 42)) in
+      let v = rpc tr ~src:0 ~dst:1 ~bytes:0 ~serve:(fun _h -> (0, 42)) in
       check Alcotest.int "reply" 42 v);
   Engine.run engine;
   check Alcotest.int "roundtrip" (expected_rpc_roundtrip p) (Engine.finish_time engine 0);
@@ -42,7 +56,7 @@ let rpc_counts_messages () =
   let engine, tr = make_cluster () in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:100 ~serve:(fun _ -> (200, ()))));
+      ignore (rpc tr ~src:0 ~dst:1 ~bytes:100 ~serve:(fun _ -> (200, ()))));
   Engine.run engine;
   check Alcotest.int "two messages" 2 (Transport.messages_sent tr);
   check Alcotest.int "one from each" 1 (Transport.messages_of tr 0);
@@ -98,7 +112,7 @@ let page_transfer_slower_on_ethernet () =
     let engine, tr = make_cluster ~params () in
     Engine.spawn engine 1 (fun () -> ());
     Engine.spawn engine 0 (fun () ->
-        ignore (Transport.rpc tr ~src:0 ~dst:1 ~bytes:16 ~serve:(fun _ -> (4096, ()))));
+        ignore (rpc tr ~src:0 ~dst:1 ~bytes:16 ~serve:(fun _ -> (4096, ()))));
     Engine.run engine;
     Engine.finish_time engine 0
   in
@@ -125,10 +139,10 @@ let parallel_calls () =
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 2 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      let p1 = Transport.call tr ~src:0 ~dst:1 ~bytes:16 ~serve:(fun _ -> (500, 1)) in
-      let p2 = Transport.call tr ~src:0 ~dst:2 ~bytes:16 ~serve:(fun _ -> (500, 2)) in
-      let v1 = Transport.await_reply tr p1 in
-      let v2 = Transport.await_reply tr p2 in
+      let p1 = request tr ~src:0 ~dst:1 ~bytes:16 ~serve:(fun _ -> (500, 1)) in
+      let p2 = request tr ~src:0 ~dst:2 ~bytes:16 ~serve:(fun _ -> (500, 2)) in
+      let v1 = Transport.await_value tr p1 in
+      let v2 = Transport.await_value tr p2 in
       check Alcotest.int "v1" 1 v1;
       check Alcotest.int "v2" 2 v2);
   Engine.run engine;
@@ -159,7 +173,7 @@ let lossy_rpc_retransmits () =
   Engine.spawn engine 0 (fun () ->
       for i = 1 to 20 do
         let v =
-          Transport.rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ ->
+          rpc tr ~src:0 ~dst:1 ~bytes:64 ~serve:(fun _ ->
               incr served;
               (64, i))
         in
@@ -198,7 +212,7 @@ let message_mix_labels () =
   let engine, tr = make_cluster ~nprocs:2 () in
   Engine.spawn engine 1 (fun () -> ());
   Engine.spawn engine 0 (fun () ->
-      ignore (Transport.rpc ~label:"probe" tr ~src:0 ~dst:1 ~bytes:10 ~serve:(fun _ -> (20, ())));
+      ignore (rpc ~label:"probe" tr ~src:0 ~dst:1 ~bytes:10 ~serve:(fun _ -> (20, ())));
       Transport.send tr ~src:0 ~dst:1 ~bytes:5 ~deliver:(fun _ -> ()));
   Engine.run engine;
   let mix = Transport.message_mix tr in

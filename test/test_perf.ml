@@ -257,6 +257,68 @@ let replay_goldens =
       } );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Single-writer directory pin.  SC and Tardis share one page directory
+   (per-page manager queue, grant, ownership transfer); these arms fix
+   their simulated accounting so any change to that machinery shows up
+   as a number, not just a wrong answer.  Jacobi runs sharded, so its
+   page managers are placed by the ownership ring.                      *)
+
+type directory_golden = {
+  d_time : int;
+  d_messages : int;
+  d_bytes : int;
+  d_fetches : int;
+  d_expiries : int;
+  d_digest : string;
+}
+
+let directory_golden (app, nprocs, protocol, sharding) expected () =
+  let cfg = Harness.config ~app ~nprocs ~protocol ~net:Tmk_net.Params.atm_aal34 in
+  let fp = fingerprint ~app { cfg with Config.sharding } in
+  let what =
+    Printf.sprintf "%s %s %dp" (Config.protocol_name protocol) (Harness.app_name app) nprocs
+  in
+  check Alcotest.int (what ^ ": simulated time") expected.d_time fp.fp_time;
+  check Alcotest.int (what ^ ": messages") expected.d_messages fp.fp_messages;
+  check Alcotest.int (what ^ ": bytes") expected.d_bytes fp.fp_bytes;
+  check Alcotest.int (what ^ ": page fetches") expected.d_fetches
+    fp.fp_stats.Stats.page_fetches;
+  check Alcotest.int (what ^ ": lease expiries") expected.d_expiries
+    fp.fp_stats.Stats.lease_expiries;
+  check Alcotest.string (what ^ ": digest") expected.d_digest fp.fp_digest
+
+let directory_goldens =
+  [
+    ( (Harness.Water, 8, Config.Sc, false),
+      {
+        d_time = 18842516840;
+        d_messages = 45920;
+        d_bytes = 32596186;
+        d_fetches = 7442;
+        d_expiries = 0;
+        d_digest = "c7f75ef5b495806f2415bc74c79a0354";
+      } );
+    ( (Harness.Water, 8, Config.Tardis, false),
+      {
+        d_time = 10943753520;
+        d_messages = 24825;
+        d_bytes = 20496991;
+        d_fetches = 4714;
+        d_expiries = 225;
+        d_digest = "c7f75ef5b495806f2415bc74c79a0354";
+      } );
+    ( (Harness.Jacobi, 16, Config.Tardis, true),
+      {
+        d_time = 5374625400;
+        d_messages = 6409;
+        d_bytes = 3737292;
+        d_fetches = 835;
+        d_expiries = 716;
+        d_digest = "bbaeb195790d70dceca49ee7011091ab";
+      } );
+  ]
+
 let suite =
   let app_case app =
     Alcotest.test_case
@@ -284,3 +346,11 @@ let suite =
       Alcotest.test_case "oracle-only run keeps the fast path" `Quick
         access_hook_only_for_access_observers;
     ]
+  @ List.map
+      (fun (((app, nprocs, protocol, sharding) as arm), expected) ->
+        Alcotest.test_case
+          (Printf.sprintf "directory pinned: %s %s at %d procs%s"
+             (Config.protocol_name protocol) (Harness.app_name app) nprocs
+             (if sharding then ", sharded" else ""))
+          `Slow (directory_golden arm expected))
+      directory_goldens
